@@ -25,6 +25,8 @@
 #include <cstdint>
 #include <thread>
 
+#include "gates/common/affinity.hpp"
+
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #endif
@@ -52,15 +54,16 @@ struct IdleConfig {
   static IdleConfig balanced() { return {}; }
   static IdleConfig park() { return {kPark, 0, 1}; }
 
-  /// Balanced, adapted to the host: on a single-core box the pause phase is
-  /// skipped entirely — every pause burns cycles the peer thread needs to
-  /// make the awaited progress, so the wait escalates straight to yields
-  /// (which hand the core over). Engines use this as their default; tests
-  /// that assert exact spin/yield/park sequences construct explicit configs
-  /// instead.
+  /// Balanced, adapted to the host: when the calling thread's affinity mask
+  /// allows one CPU (a 1-core box, `taskset -c 0`, a 1-CPU cpuset) the
+  /// pause phase is skipped entirely — every pause burns cycles the peer
+  /// thread needs to make the awaited progress, so the wait escalates
+  /// straight to yields (which hand the core over). Engines use this as
+  /// their default; tests that assert exact spin/yield/park sequences
+  /// construct explicit configs instead.
   static IdleConfig for_host() {
     IdleConfig config;
-    if (std::thread::hardware_concurrency() <= 1) config.spin_limit = 0;
+    if (hardware_core_count() <= 1) config.spin_limit = 0;
     return config;
   }
 };

@@ -18,6 +18,7 @@
 
 #include "gates/common/retry_policy.hpp"
 #include "gates/common/types.hpp"
+#include "gates/core/pipeline.hpp"
 #include "gates/core/processor.hpp"
 #include "gates/obs/trace.hpp"
 
@@ -69,6 +70,18 @@ struct ReplacementDecision {
   /// provides).
   ProcessorFactory factory;
 };
+
+/// The least-loaded placement both engines fall back on without a
+/// provider (SimEngine re-placement, RtEngine migration). Candidates are the
+/// nodes the pipeline knows — host ids, the stages' current nodes
+/// (`stage_nodes`) and the source locations — that `usable` accepts. The
+/// pick hosts the fewest stages i with live(i), ties to the lowest id;
+/// nullopt when no candidate remains. Deterministic for equal inputs.
+std::optional<ReplacementDecision> least_loaded_target(
+    const PipelineSpec& spec, const HostModel& hosts,
+    const std::vector<NodeId>& stage_nodes,
+    const std::function<bool(NodeId)>& usable,
+    const std::function<bool(std::size_t stage)>& live);
 
 /// Re-runs matchmaking for `stage_index` against nodes not in `down` and
 /// returns the decision, or nullopt when no node currently qualifies (the

@@ -126,14 +126,6 @@ struct RtEngine::ReplayChannel {
   /// with new traffic, so a processed high seq does NOT imply earlier seqs
   /// were delivered — acking only what was actually processed keeps the
   /// undelivered tail replayable.
-  void ack(std::uint64_t seq) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      ring.ack_exact(seq);
-    }
-    if (ack_forward) ack_forward({seq});
-  }
-
   void ack_batch(const std::vector<std::uint64_t>& seqs) {
     {
       std::lock_guard<std::mutex> lock(mu);
@@ -186,20 +178,79 @@ struct RtEngine::FlowItem {
 /// the free list and slot handout, never the push into the destination.
 class RtEngine::TransitPool final : public net::TransitSink {
  public:
-  std::uint64_t check_in(std::vector<FlowItem>& items, StageWorker* dest,
-                         bool stamp);
+  /// `stamp`: set queued_at on arrival (Profiler or PacketTracer on).
+  TransitPool(StageWorker* dest, bool stamp) : dest_(dest), stamp_(stamp) {}
+  std::uint64_t check_in(std::vector<FlowItem>& items);
   void deliver(std::uint64_t token) override;
 
  private:
-  struct Slot {
-    std::vector<FlowItem> items;
-    StageWorker* dest = nullptr;
-    bool stamp = false;
-  };
-
+  StageWorker* const dest_;
+  const bool stamp_;
   std::mutex mu_;
-  std::deque<Slot> slots_;
+  std::deque<std::vector<FlowItem>> slots_;
   std::vector<std::uint64_t> free_;
+};
+
+// ---------------------------------------------------------------------------
+// Outlet: the send path of one flow, shared by sources and stages
+// ---------------------------------------------------------------------------
+
+/// The sending end of one flow — a source's link into its target stage, or
+/// one route out of a stage — driven by the sending thread alone. Packets
+/// are staged and sent a batch at a time: one throttle acquire, one
+/// retention lock and one queue transaction per batch, or one pooled
+/// hand-off to the flow's shaper. A clean flow skips staging and moves each
+/// packet straight into the destination's SPSC ring.
+class RtEngine::Outlet {
+ public:
+  Outlet(RtEngine& engine, std::shared_ptr<ThrottleGate> gate,
+         StageWorker* dest, std::size_t port,
+         std::shared_ptr<net::LinkShaper> shaper);
+
+  /// Resolves the per-run flags when the sending thread (re)starts.
+  void arm(bool profile, bool tracer);
+  /// Queues one packet; returns what a batch-full flush could not deliver
+  /// (see flush()). Takes an rvalue so a single-route emit moves its packet
+  /// end to end. Forced inline: it runs per packet in every sending loop.
+  [[gnu::always_inline]] std::size_t stage(Packet&& packet);
+  /// Sends the staged batch. Returns how many packets a closed (crashed or
+  /// force-stopped) destination refused: with retention they survive in
+  /// the channel and return via replay, without it they are lost.
+  std::size_t flush();
+  /// Settles the direct path's deferred consumer wakeup.
+  void wake();
+  /// EOS rides the shaper in FIFO order but is never subject to loss or
+  /// jitter — termination stays reliable on any link.
+  void send_eos(StreamId stream);
+  /// Drops the staged batch (a pool restart discards half-staged outputs;
+  /// their inputs were never acked, so upstream replay regenerates them).
+  void discard();
+
+  std::shared_ptr<ThrottleGate> gate;
+  StageWorker* dest;
+  std::size_t port;
+  std::shared_ptr<ReplayChannel> channel;
+  /// Parks batches in transit through the shaper (built by arm() when the
+  /// flow has one). Declared before shaper: a shaper may still drain token
+  /// deliveries when this outlet drops its last reference.
+  std::unique_ptr<TransitPool> transit;
+  /// Impairment shaper for the flow; null on clean flows.
+  std::shared_ptr<net::LinkShaper> shaper;
+
+ private:
+  void flush_shaped();
+
+  RtEngine* engine_;
+  std::vector<FlowItem> items_;
+  std::size_t wire_bytes_ = 0;
+  /// Direct-pushed packets awaiting the batched consumer wakeup.
+  bool wake_pending_ = false;
+  /// No shaper, no retention, no profiler stamping and an SPSC inbox. The
+  /// throttle is re-checked per packet, so a mid-run rate change falls
+  /// back to the charged path.
+  bool direct_ = false;
+  bool profile_ = false;
+  bool tracer_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -207,30 +258,15 @@ class RtEngine::TransitPool final : public net::TransitSink {
 // ---------------------------------------------------------------------------
 class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
  public:
-  /// Historical name for the shared flow entry (hoisted so SourceWorker and
-  /// the TransitPool can use the same type).
-  using Item = FlowItem;
-  /// Per-route output staging (emit() fills, flush_route() sends).
-  struct RouteBatch {
-    std::vector<Item> items;
-    std::size_t wire_bytes = 0;
-    /// Direct-pushed packets awaiting the batched consumer wakeup (see
-    /// stage_packet's fast path and StageInbox::try_produce).
-    bool wake_pending = false;
-  };
-  struct Route {
-    std::shared_ptr<ThrottleGate> gate;
-    StageWorker* dest = nullptr;
-    std::size_t port = 0;
-    std::shared_ptr<ReplayChannel> channel;
-    /// Impairment shaper for the flow; null on clean flows (the direct,
-    /// zero-overhead path).
-    std::shared_ptr<net::LinkShaper> shaper;
-    /// Resolved in start(): the route qualifies for the per-packet direct
-    /// push into the destination's SPSC ring (no shaper, no retention, no
-    /// profiler stamping, SPSC inbox). The throttle is re-checked per
-    /// packet so a mid-run rate change falls back to the charged path.
-    bool direct = false;
+  /// Per-batch counter deltas of one servicing thread (service_one fills,
+  /// publish_tally folds them into the shared counters once per batch).
+  struct Tally {
+    std::uint64_t packets = 0;
+    std::uint64_t records = 0;
+    std::uint64_t bytes = 0;
+    Duration service = 0;
+    /// Set once the batch head gave its latency sample.
+    bool latency_sampled = false;
   };
 
   // -- replica pool types (parallelism != kSerial) ----------------------------
@@ -256,7 +292,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     ReplayChannel* origin = nullptr;
     std::uint64_t ack_seq = 0;
     std::uint64_t merge_seq = 0;
-    /// Carried over from the inbox Item, so a pooled stage's inbox-wait
+    /// Carried over from the inbox FlowItem, so a pooled stage's inbox-wait
     /// attribution covers inbox + replica-queue time in one measurement.
     TimePoint queued_at = 0;
     bool finish_marker = false;
@@ -317,6 +353,8 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
         spec_(spec),
         node_(node),
         cpu_factor_(cpu_factor),
+        max_batch_(
+            std::max<std::size_t>(engine.config_.batching.max_batch, 1)),
         queue_(spec.input_capacity),
         monitor_(spec.monitor),
         rng_(rng),
@@ -333,8 +371,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     budget_ = par.max_replicas != 0 ? par.max_replicas
                                     : engine_.hosts_.cores_at(node_);
     budget_ = std::max(budget_, par.replicas);
-    replica_cap_ = std::max<std::size_t>(
-        2 * std::max<std::size_t>(engine_.config_.batching.max_batch, 1), 4);
+    replica_cap_ = std::max<std::size_t>(2 * max_batch_, 4);
     // Window sized so every replica can have a full queue plus in-flight
     // work without the dispatcher stalling on the merge ring.
     merge_ = std::make_unique<ReorderMerge<Completion>>(budget_ *
@@ -349,7 +386,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
       rep->queue = std::make_unique<StageInbox<PoolItem>>(replica_cap_);
       rep->queue->set_idle(engine_.config_.idle);
       // Dispatcher is the only producer, the replica the only consumer.
-      if (engine_.config_.batching.spsc) rep->queue->use_spsc();
+      rep->queue->use_spsc();
       replicas_.push_back(std::move(rep));
     }
     active_replicas_.store(par.replicas, std::memory_order_relaxed);
@@ -389,14 +426,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     }
   }
 
-  void add_route(Route route) {
-    if (!route.channel && engine_.config_.failover.enabled) {
-      route.channel = std::make_shared<ReplayChannel>(
-          engine_.config_.failover.replay_buffer_packets);
-    }
-    routes_.push_back(std::move(route));
-    out_.emplace_back();
-  }
+  void add_route(Outlet route) { routes_.push_back(std::move(route)); }
   void add_upstream(StageWorker* up) {
     if (up != nullptr) upstreams_.push_back(up);
   }
@@ -408,17 +438,14 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     remote_egress_ = std::move(link);
   }
 
-  StageInbox<Item>& queue() { return queue_; }
-  /// SPSC fast path; the engine calls this from setup() for stages with
-  /// exactly one data-plane producer, before any thread starts.
-  void enable_spsc() { queue_.use_spsc(); }
+  StageInbox<FlowItem>& queue() { return queue_; }
   /// Core list for this stage's threads (engine setup, before start()):
   /// index 0 pins the serial worker / pool dispatcher, replica r takes
   /// (r + 1) % size — a pool fills its node's cores before wrapping.
   void set_pin_cores(std::vector<int> cores) { pin_cores_ = std::move(cores); }
   NodeId node() const { return node_; }
   const std::string& name() const { return spec_.name; }
-  std::vector<Route>& routes() { return routes_; }
+  std::vector<Outlet>& routes() { return routes_; }
 
   void start() {
     // Resolved once, before any worker thread exists: the PhaseClock handle
@@ -428,11 +455,9 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
                    ? &obs::Profiler::global().stage(spec_.name)
                    : nullptr;
     tracer_active_ = obs::PacketTracer::global().active();
-    stamp_queued_ = profile_ != nullptr || tracer_active_;
     zero_service_ = spec_.cost.is_zero();
-    for (Route& route : routes_) {
-      route.direct = route.shaper == nullptr && route.channel == nullptr &&
-                     profile_ == nullptr && route.dest->queue().spsc();
+    for (Outlet& route : routes_) {
+      route.arm(profile_ != nullptr, tracer_active_);
     }
     last_beat_.store(clock_.now(), std::memory_order_release);
     if (pooled()) {
@@ -504,10 +529,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
       next_seq_ = 0;
       rr_next_ = 0;
       pending_acks_.clear();
-      for (auto& batch : out_) {
-        batch.items.clear();
-        batch.wire_bytes = 0;
-      }
+      for (Outlet& route : routes_) route.discard();
       emitted_pending_ = 0;
       dropped_pending_ = 0;
       for (auto& rep : replicas_) {
@@ -650,7 +672,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     // Re-gate outbound flows from the new placement (this worker's threads
     // are all dead, so the routes are safe to mutate; start() re-resolves
     // the direct flag against the new shaper).
-    for (Route& route : routes_) {
+    for (Outlet& route : routes_) {
       route.gate = engine_.gate_for_flow(node_, route.dest->node());
       route.shaper = engine_.shaper_for_flow(node_, route.dest->node());
     }
@@ -687,176 +709,17 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     }
     if (last == routes_.size()) return;  // no route on this port
     for (std::size_t r = 0; r < last; ++r) {
-      if (routes_[r].port == port) stage_packet(r, Packet(packet));
-    }
-    stage_packet(last, std::move(packet));
-  }
-
-  /// Appends one packet to route `r`'s staging batch, flushing at max_batch.
-  /// Takes an rvalue so the single-route emit moves its packet end to end —
-  /// emit's by-value parameter is the only copy on the whole hop.
-  void stage_packet(std::size_t r, Packet&& packet) {
-    RouteBatch& batch = out_[r];
-    const Route& route = routes_[r];
-    // Direct fast path: a clean, currently-unthrottled route into an SPSC
-    // inbox moves the packet straight from emit() into the destination
-    // ring — no staging vector, no wire-byte accounting (the gate would
-    // no-op anyway), no batched flush. The consumer wakeup is deferred to
-    // the next flush_route via wake_pending, since the wake fence costs
-    // more than the push. A full ring (or a mid-run rate change) falls
-    // back to the staged, charged, blocking path below; the empty-staging
-    // guard keeps direct and staged items in emit order.
-    if (route.direct && batch.items.empty() && route.gate->unthrottled()) {
-      TimePoint queued_at = 0;
-      if (tracer_active_ && packet.trace.sampled()) queued_at = clock_.now();
-      const bool pushed = route.dest->queue().try_produce([&](Item& slot) {
-        slot.packet = std::move(packet);
-        slot.origin = nullptr;
-        slot.seq = 0;
-        slot.queued_at = queued_at;
-      });
-      if (pushed) {
-        batch.wake_pending = true;
-        return;
+      if (routes_[r].port == port) {
+        dropped_pending_ += routes_[r].stage(Packet(packet));
       }
     }
-    batch.wire_bytes += engine_.config_.wire.wire_size(
-        packet.payload_bytes(), packet.records);
-    batch.items.push_back({std::move(packet), nullptr, 0});
-    if (batch.items.size() >= engine_.config_.batching.max_batch) {
-      flush_route(r);
-    }
-  }
-
-  /// One batched send on route `r`: amortizes the throttle-gate lock, the
-  /// retention lock and the queue lock/notify over the whole batch.
-  void flush_route(std::size_t r) {
-    RouteBatch& batch = out_[r];
-    // Settle the direct fast path's deferred consumer wakeup first: the
-    // blocking push below may park this thread, and a consumer that slept
-    // through un-woken direct pushes would deadlock against it.
-    if (batch.wake_pending) {
-      batch.wake_pending = false;
-      routes_[r].dest->queue().wake_consumer();
-    }
-    if (batch.items.empty()) return;
-    const Route& route = routes_[r];
-    if (route.shaper) return flush_route_shaped(r);
-    route.gate->acquire(batch.wire_bytes);
-    if (profile_ != nullptr) {
-      const TimePoint t = clock_.now();
-      for (Item& it : batch.items) it.queued_at = t;
-    } else if (tracer_active_) {
-      // Sampling means almost no item needs the inbox-arrival stamp; read
-      // the clock only when a sampled packet actually sits in the batch.
-      // (Stamping everything here used to dominate the measured tracing
-      // overhead once the rest of the path got cheap.)
-      TimePoint t = 0;
-      for (Item& it : batch.items) {
-        if (it.packet.trace.sampled()) {
-          if (t == 0) t = clock_.now();
-          it.queued_at = t;
-        }
-      }
-    }
-    if (route.channel) route.channel->retain_batch(batch.items);
-    const std::size_t n = batch.items.size();
-    // Blocking push: a full downstream buffer backpressures this thread.
-    // A closed (crashed) downstream queue fails fast; with retention on,
-    // the packets survive in the channel and return via replay.
-    const std::size_t pushed = route.dest->queue().push_all(batch.items);
-    if (pushed < n) {
-      dropped_pending_ += n - pushed;
-      GATES_TRACE(.time = clock_.now(), .kind = obs::TraceKind::kPacketDrop,
-                  .component = spec_.name,
-                  .detail = "downstream queue closed",
-                  .value_new = static_cast<double>(n - pushed));
-    }
-    batch.items.clear();
-    batch.wire_bytes = 0;
-  }
-
-  /// Shaped variant of flush_route: the sender thread samples per-item
-  /// loss/delay plans (so retention order matches wire order), charges the
-  /// throttle gate for the surviving bytes plus retransmissions, retains,
-  /// and hands the queue push to the shaper thread after the batch's delay.
-  /// Jitter is per-batch (max over items) — a batch is one wire burst.
-  void flush_route_shaped(std::size_t r) {
-    RouteBatch& batch = out_[r];
-    const Route& route = routes_[r];
-    std::size_t wire = batch.wire_bytes;
-    Duration extra = 0;
-    std::size_t kept = 0;
-    std::size_t lost = 0;
-    for (std::size_t i = 0; i < batch.items.size(); ++i) {
-      const net::LinkShaper::Plan plan = route.shaper->plan_send();
-      const std::size_t item_wire = engine_.config_.wire.wire_size(
-          batch.items[i].packet.payload_bytes(), batch.items[i].packet.records);
-      if (plan.dropped) {
-        // Link loss (kDrop): the message never reaches retention or the
-        // receiver. Accounted on the link, not the stage — stage drop
-        // counters keep meaning "receiver queue closed".
-        wire -= item_wire;
-        ++lost;
-        continue;
-      }
-      if (tracer_active_ && batch.items[i].packet.trace.sampled()) {
-        // Causal link hop: the sampled packet's planned time on the wire
-        // (base latency + RTO/jitter hold-back), attributed to the link.
-        GATES_TRACE(.time = clock_.now(),
-                    .duration = plan.base_latency + plan.extra_delay,
-                    .kind = obs::TraceKind::kPacketHop,
-                    .component = route.shaper->name(), .detail = "link",
-                    .trace_id = batch.items[i].packet.trace.trace_id,
-                    .hop = batch.items[i].packet.trace.hop);
-      }
-      wire += item_wire * plan.retransmissions;
-      extra = std::max(extra, plan.extra_delay);
-      if (kept != i) batch.items[kept] = std::move(batch.items[i]);
-      ++kept;
-    }
-    if (lost != 0) {
-      GATES_TRACE(.time = clock_.now(), .kind = obs::TraceKind::kPacketDrop,
-                  .component = route.shaper->name(), .detail = "link loss",
-                  .value_new = static_cast<double>(lost));
-    }
-    batch.items.resize(kept);
-    if (wire > 0) route.gate->acquire(wire);
-    batch.wire_bytes = 0;
-    if (batch.items.empty()) return;
-    if (route.channel) route.channel->retain_batch(batch.items);
-    // Pooled hand-off: the batch parks in a recycled TransitPool slot (the
-    // swap returns a retired slot's capacity to batch.items) and the shaper
-    // releases it by token — no per-batch allocation.
-    const std::uint64_t token =
-        transit_.check_in(batch.items, route.dest, stamp_queued_);
-    route.shaper->deliver_after(extra, &transit_, token);
-  }
-
-  /// Downstream-EOS send used by both the serial epilogue and finish_pool:
-  /// EOS rides the shaper in FIFO order but is never subject to loss or
-  /// jitter — termination stays reliable on any link.
-  void send_eos_on_route(const Route& route) {
-    route.gate->acquire(engine_.config_.wire.per_message_overhead);
-    Item item{Packet::eos(0, clock_.now()), nullptr, 0};
-    if (route.channel) {
-      item.origin = route.channel.get();
-      item.seq = route.channel->retain(item.packet);
-    }
-    if (route.shaper) {
-      auto shared = std::make_shared<Item>(std::move(item));
-      StageWorker* dest = route.dest;
-      route.shaper->deliver_in_order(
-          [dest, shared] { dest->queue().push(std::move(*shared)); });
-    } else {
-      route.dest->queue().push(std::move(item));
-    }
+    dropped_pending_ += routes_[last].stage(std::move(packet));
   }
 
   /// Flushes every route's staging and publishes the per-batch counter
   /// deltas (exact packet counts, one atomic add per counter per batch).
   void flush_emits() {
-    for (std::size_t r = 0; r < routes_.size(); ++r) flush_route(r);
+    for (Outlet& route : routes_) dropped_pending_ += route.flush();
     if (emitted_pending_ != 0) {
       packets_emitted_.fetch_add(emitted_pending_, std::memory_order_relaxed);
       emitted_pending_ = 0;
@@ -1088,36 +951,116 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
   std::size_t active_replicas() const {
     return pooled() ? active_replicas_.load(std::memory_order_acquire) : 1;
   }
-  bool inbox_spsc() const { return queue_.spsc(); }
 
  private:
   /// Flushes staged emissions, then acks the batch of processed inputs —
   /// in that order, so an input is never released from upstream retention
   /// before the outputs derived from it are durably downstream
-  /// (at-least-once across a crash between the two steps). Acks are grouped
-  /// per origin channel: one lock per channel per batch.
-  void flush_batch_effects(std::vector<Item>& batch, std::size_t upto) {
+  /// (at-least-once across a crash between the two steps).
+  void flush_batch_effects(std::vector<FlowItem>& batch, std::size_t upto) {
     flush_emits();
-    // Ack/retention attribution brackets only the ack section: the emit
-    // flush above is already charged to the gates/shapers it waits on.
-    const TimePoint ack_start = profile_ != nullptr ? clock_.now() : 0;
-    for (std::size_t i = 0; i < upto; ++i) {
-      if (batch[i].origin == nullptr) continue;
-      ReplayChannel* origin = batch[i].origin;
+    ack_grouped(batch, upto);
+  }
+
+  /// Exact acks for the first `n` entries (anything with an origin channel
+  /// and a seq), grouped per origin: one retention lock per distinct
+  /// channel. Ack/retention attribution brackets only this section; the
+  /// emit flush before it is charged to the gates/shapers it waits on.
+  template <typename T>
+  void ack_grouped(std::vector<T>& entries, std::size_t n) {
+    const bool timed = profile_ != nullptr && n != 0;
+    const TimePoint ack_start = timed ? clock_.now() : 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      ReplayChannel* origin = entries[i].origin;
+      if (origin == nullptr) continue;
       ack_seqs_.clear();
-      ack_seqs_.push_back(batch[i].seq);
-      batch[i].origin = nullptr;
-      for (std::size_t j = i + 1; j < upto; ++j) {
-        if (batch[j].origin == origin) {
-          ack_seqs_.push_back(batch[j].seq);
-          batch[j].origin = nullptr;
+      for (std::size_t j = i; j < n; ++j) {
+        if (entries[j].origin == origin) {
+          ack_seqs_.push_back(entries[j].seq);
+          entries[j].origin = nullptr;
         }
       }
       origin->ack_batch(ack_seqs_);
     }
-    if (profile_ != nullptr) {
+    if (timed) {
       profile_->add(obs::Phase::kAckRetention, clock_.now() - ack_start);
     }
+  }
+
+  /// The per-packet service step every stage loop shares: pays the modelled
+  /// service time (charged to the caller's `busy` clock), traces a sampled
+  /// packet's inbox-wait and service hops, counts EOS, and tallies data
+  /// packets — the batch head also gives the latency sample, so the
+  /// estimate errs high, never low. Returns false when the stage crashed
+  /// meanwhile: the packet stays uncounted and the caller exits without
+  /// processing it (upstream retention still holds it). Forced inline: it
+  /// runs per packet in every stage loop.
+  [[gnu::always_inline]] bool service_one(Packet& packet, TimePoint queued_at,
+                                          Duration& busy, Tally& tally) {
+    // Zero-cost stages (resolved once in start()) skip the service-time
+    // arithmetic and the sleep call per packet.
+    Duration service = 0;
+    if (!zero_service_) {
+      service = spec_.cost.service_time(packet) / cpu_factor_;
+      sleep_seconds(service);
+      busy += service;
+      tally.service += service;
+    }
+    if (tracer_active_ && packet.trace.sampled()) {
+      const TimePoint done = clock_.now();
+      ++packet.trace.hop;
+      if (queued_at > 0 && done - service > queued_at) {
+        GATES_TRACE(.time = queued_at,
+                    .duration = done - service - queued_at,
+                    .kind = obs::TraceKind::kPacketHop,
+                    .component = spec_.name, .detail = "inbox-wait",
+                    .trace_id = packet.trace.trace_id,
+                    .hop = packet.trace.hop);
+      }
+      GATES_TRACE(.time = done - service, .duration = service,
+                  .kind = obs::TraceKind::kPacketHop,
+                  .component = spec_.name, .detail = "service",
+                  .trace_id = packet.trace.trace_id, .hop = packet.trace.hop);
+    }
+    if (crashed_.load(std::memory_order_acquire)) return false;
+    if (packet.is_eos()) {
+      ++eos_received_;
+      return true;
+    }
+    ++tally.packets;
+    tally.records += packet.records;
+    tally.bytes += packet.payload_bytes();
+    if (!tally.latency_sampled) {
+      latency_.add(clock_.now() - packet.created_at);
+      tally.latency_sampled = true;
+    }
+    return true;
+  }
+
+  /// Publishes one batch's tally: one atomic add per counter per batch.
+  void publish_tally(const Tally& tally) {
+    if (tally.packets != 0) {
+      packets_processed_.fetch_add(tally.packets, std::memory_order_relaxed);
+      records_processed_.fetch_add(tally.records, std::memory_order_relaxed);
+      bytes_processed_.fetch_add(tally.bytes, std::memory_order_relaxed);
+    }
+    if (profile_ != nullptr) {
+      profile_->add(obs::Phase::kService, tally.service);
+      profile_->add_packets(tally.packets);
+    }
+  }
+
+  /// One inbox drain into `batch`. With failover on it is timed, so the
+  /// heartbeat advances even while idle (an idle beat returns 0 with the
+  /// inbox still open).
+  std::size_t drain_inbox(std::vector<FlowItem>& batch) {
+    batch.clear();
+    if (!engine_.config_.failover.enabled) {
+      return queue_.drain(batch, max_batch_);
+    }
+    last_beat_.store(clock_.now(), std::memory_order_release);
+    return queue_.drain_for(batch, max_batch_,
+                            engine_.config_.failover.heartbeat_period);
   }
 
   /// Charges each drained item's queue residency (push -> drain) to
@@ -1147,11 +1090,8 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     if (!failover && queue_.spsc() && profile_ == nullptr) {
       return run_loop_fast();
     }
-    const Duration beat = engine_.config_.failover.heartbeat_period;
-    const std::size_t max_batch = std::max<std::size_t>(
-        engine_.config_.batching.max_batch, 1);
-    std::vector<Item> batch;
-    batch.reserve(max_batch);
+    std::vector<FlowItem> batch;
+    batch.reserve(max_batch_);
     bool stop_after_flush = false;
     while (!stop_after_flush) {
       // Migration quiesce: the previous batch's effects are flushed and
@@ -1161,15 +1101,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
         quiesced_.store(true, std::memory_order_release);
         return;
       }
-      batch.clear();
-      std::size_t n;
-      if (failover) {
-        // Timed drain so the heartbeat advances even while idle.
-        last_beat_.store(clock_.now(), std::memory_order_release);
-        n = queue_.drain_for(batch, max_batch, beat);
-      } else {
-        n = queue_.drain(batch, max_batch);
-      }
+      const std::size_t n = drain_inbox(batch);
       // Crash-stop: exit without flushing, acking, or sending EOS. Batched
       // effects not yet flushed are simply dropped; upstream retention
       // still holds every unacked input, so nothing is lost.
@@ -1179,90 +1111,29 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
         break;  // closed and drained (EOS logic below) or force-stopped
       }
       profile_inbox_wait(batch, n);
-      // Per-batch counter deltas, published once after the batch.
-      std::uint64_t d_packets = 0;
-      std::uint64_t d_records = 0;
-      std::uint64_t d_bytes = 0;
-      Duration d_service = 0;
+      Tally tally;
       std::size_t processed_upto = 0;
-      bool latency_sampled = false;
       for (std::size_t i = 0; i < n; ++i) {
         Packet& packet = batch[i].packet;
-        // Zero-cost stages (resolved once in start()) skip the service-time
-        // arithmetic and the sleep call per packet.
-        Duration service = 0;
-        if (!zero_service_) {
-          service = spec_.cost.service_time(packet) / cpu_factor_;
-          sleep_seconds(service);
-          busy_time_ += service;
-          d_service += service;
+        if (!service_one(packet, batch[i].queued_at, busy_time_, tally)) {
+          return;
         }
-        if (!tracer_active_) {
-          // Legacy behaviour (sampling off): every service gets a span
-          // whenever the TraceBuffer is enabled.
-          GATES_TRACE(.time = clock_.now() - service, .duration = service,
-                      .kind = obs::TraceKind::kServiceSpan,
-                      .component = spec_.name);
-        } else if (packet.trace.sampled()) {
-          const TimePoint done = clock_.now();
-          ++packet.trace.hop;
-          if (batch[i].queued_at > 0 &&
-              done - service > batch[i].queued_at) {
-            GATES_TRACE(.time = batch[i].queued_at,
-                        .duration = done - service - batch[i].queued_at,
-                        .kind = obs::TraceKind::kPacketHop,
-                        .component = spec_.name, .detail = "inbox-wait",
-                        .trace_id = packet.trace.trace_id,
-                        .hop = packet.trace.hop);
-          }
-          GATES_TRACE(.time = done - service, .duration = service,
-                      .kind = obs::TraceKind::kPacketHop,
-                      .component = spec_.name, .detail = "service",
-                      .trace_id = packet.trace.trace_id,
-                      .hop = packet.trace.hop);
-        }
-        if (crashed_.load(std::memory_order_acquire)) return;
-        if (packet.is_eos()) {
-          processed_upto = i + 1;
-          if (++eos_received_ >= eos_expected_) {
-            stop_after_flush = true;
-            break;
-          }
-          continue;
-        }
-        ++d_packets;
-        d_records += packet.records;
-        d_bytes += packet.payload_bytes();
-        // Latency is sampled once per drained batch (one clock read per
-        // batch, not per packet). The sample is the batch head — the
-        // oldest entry — so the estimate errs high, never low.
-        if (!latency_sampled) {
-          latency_.add(clock_.now() - packet.created_at);
-          latency_sampled = true;
-        }
-        processor_->process(packet, *this);
         processed_upto = i + 1;
+        if (!packet.is_eos()) {
+          processor_->process(packet, *this);
+        } else if (eos_received_ >= eos_expected_) {
+          stop_after_flush = true;
+          break;
+        }
       }
-      if (d_packets != 0) {
-        packets_processed_.fetch_add(d_packets, std::memory_order_relaxed);
-        records_processed_.fetch_add(d_records, std::memory_order_relaxed);
-        bytes_processed_.fetch_add(d_bytes, std::memory_order_relaxed);
-      }
-      if (profile_ != nullptr) {
-        profile_->add(obs::Phase::kService, d_service);
-        profile_->add_packets(d_packets);
-      }
+      publish_tally(tally);
       // Outputs first, then acks (see flush_batch_effects).
       flush_batch_effects(batch, processed_upto);
     }
     // Either all upstreams ended or the queue was force-closed; flush.
     processor_->finish(*this);
     flush_emits();
-    for (const auto& route : routes_) send_eos_on_route(route);
-    GATES_TRACE(.time = clock_.now(), .kind = obs::TraceKind::kStageFinished,
-                .component = spec_.name);
-    finished_.store(true, std::memory_order_release);
-    engine_.notify_stage_finished();
+    finish_stage();
   }
 
   /// Remote outlet: the stage's drained input is framed and sent over the
@@ -1279,12 +1150,10 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     net::RemoteLink& link = *remote_egress_;
     const bool failover = engine_.config_.failover.enabled;
     RetentionRing ring(engine_.config_.remote.retention_packets);
-    const std::size_t max_batch =
-        std::max<std::size_t>(engine_.config_.batching.max_batch, 1);
-    std::vector<Item> batch;
-    batch.reserve(max_batch);
+    std::vector<FlowItem> batch;
+    batch.reserve(max_batch_);
     std::vector<net::wire::WirePacket> wps;
-    wps.reserve(max_batch);
+    wps.reserve(max_batch_);
 
     // Resends the whole unacked ring tail after a reconnect. Payloads are
     // aliased out of the ring (refcount bumps); the retained copies stay
@@ -1292,7 +1161,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     auto replay = [&]() -> Status {
       Status st = Status::ok();
       std::vector<net::wire::WirePacket> rp;
-      rp.reserve(max_batch);
+      rp.reserve(max_batch_);
       ring.for_each_unacked([&](std::uint64_t seq, const Packet& packet) {
         if (!st.is_ok()) return;
         if (packet.is_eos()) {
@@ -1311,7 +1180,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
         wp.records = static_cast<std::uint32_t>(packet.records);
         wp.payload = packet.payload;
         rp.push_back(std::move(wp));
-        if (rp.size() >= max_batch) {
+        if (rp.size() >= max_batch_) {
           st = link.send_data(rp);
           rp.clear();
         }
@@ -1366,7 +1235,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     while (true) {
       last_beat_.store(clock_.now(), std::memory_order_release);
       batch.clear();
-      const std::size_t n = queue_.drain_for(batch, max_batch, 0.0005);
+      const std::size_t n = queue_.drain_for(batch, max_batch_, 0.0005);
       if (crashed_.load(std::memory_order_acquire)) return;
       if (link_ok) {
         if (Status s = drain_acks(0); !s.is_ok()) {
@@ -1380,9 +1249,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
       profile_inbox_wait(batch, n);
       const TimePoint t0 = profile_ != nullptr ? clock_.now() : 0;
       wps.clear();
-      std::uint64_t d_packets = 0;
-      std::uint64_t d_records = 0;
-      std::uint64_t d_bytes = 0;
+      Tally tally;
       for (std::size_t i = 0; i < n; ++i) {
         Packet& p = batch[i].packet;
         if (p.is_eos()) {
@@ -1396,9 +1263,9 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
         wp.kind = p.kind;
         wp.records = static_cast<std::uint32_t>(p.records);
         wp.payload = std::move(p.payload);
-        ++d_packets;
-        d_records += wp.records;
-        d_bytes += wp.payload.size();
+        ++tally.packets;
+        tally.records += wp.records;
+        tally.bytes += wp.payload.size();
         wps.push_back(std::move(wp));
       }
       if (!wps.empty() && link_ok) {
@@ -1408,13 +1275,8 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
       }
       if (profile_ != nullptr) {
         profile_->add(obs::Phase::kSerialize, clock_.now() - t0);
-        profile_->add_packets(d_packets);
       }
-      if (d_packets != 0) {
-        packets_processed_.fetch_add(d_packets, std::memory_order_relaxed);
-        records_processed_.fetch_add(d_records, std::memory_order_relaxed);
-        bytes_processed_.fetch_add(d_bytes, std::memory_order_relaxed);
-      }
+      publish_tally(tally);
       // Local acks release upstream retention in this process — after the
       // outputs were durably handed to the transport, mirroring the
       // outputs-before-acks order of flush_batch_effects (flush_emits is a
@@ -1452,96 +1314,44 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
           << "egress '" << spec_.name << "' gave up on link '" << link.name()
           << "'";
     }
-    GATES_TRACE(.time = clock_.now(), .kind = obs::TraceKind::kStageFinished,
-                .component = spec_.name);
-    finished_.store(true, std::memory_order_release);
-    engine_.notify_stage_finished();
+    finish_stage();  // no routes: only marks the stage finished
   }
 
   /// In-place variant of the serial run_loop (failover off, SPSC inbox,
   /// profiler off — see the dispatch in run_loop): StageInbox::consume
   /// services each packet in its ring slot, so the per-hop batch-vector
   /// move disappears. Without failover no ReplayChannel exists, so the ack
-  /// machinery (flush_batch_effects) reduces to flush_emits(). Everything
-  /// observable — EOS counting, trace spans, counters, latency sampling,
-  /// crash-stop semantics — matches run_loop.
+  /// machinery (flush_batch_effects) reduces to flush_emits(). The
+  /// per-packet step is run_loop's own service_one, so EOS counting, hop
+  /// traces, counters, latency sampling and crash-stop match it.
   void run_loop_fast() {
-    const std::size_t max_batch =
-        std::max<std::size_t>(engine_.config_.batching.max_batch, 1);
     bool stop_after_flush = false;
     bool exit_now = false;
     while (!stop_after_flush && !exit_now) {
-      std::uint64_t d_packets = 0;
-      std::uint64_t d_records = 0;
-      std::uint64_t d_bytes = 0;
-      bool latency_sampled = false;
+      Tally tally;
       const std::size_t n = queue_.consume(
-          [&](Item& item) {
+          [&](FlowItem& item) {
             // Tail items after a terminal EOS (or a crash) are dropped,
             // mirroring run_loop's mid-batch break.
             if (stop_after_flush || exit_now) return;
-            if (crashed_.load(std::memory_order_acquire)) {
-              exit_now = true;
-              return;
-            }
             Packet& packet = item.packet;
-            Duration service = 0;
-            if (!zero_service_) {
-              service = spec_.cost.service_time(packet) / cpu_factor_;
-              sleep_seconds(service);
-              busy_time_ += service;
+            if (!service_one(packet, item.queued_at, busy_time_, tally)) {
+              exit_now = true;
+            } else if (!packet.is_eos()) {
+              processor_->process(packet, *this);
+            } else if (eos_received_ >= eos_expected_) {
+              stop_after_flush = true;
             }
-            if (!tracer_active_) {
-              GATES_TRACE(.time = clock_.now() - service, .duration = service,
-                          .kind = obs::TraceKind::kServiceSpan,
-                          .component = spec_.name);
-            } else if (packet.trace.sampled()) {
-              const TimePoint done = clock_.now();
-              ++packet.trace.hop;
-              if (item.queued_at > 0 && done - service > item.queued_at) {
-                GATES_TRACE(.time = item.queued_at,
-                            .duration = done - service - item.queued_at,
-                            .kind = obs::TraceKind::kPacketHop,
-                            .component = spec_.name, .detail = "inbox-wait",
-                            .trace_id = packet.trace.trace_id,
-                            .hop = packet.trace.hop);
-              }
-              GATES_TRACE(.time = done - service, .duration = service,
-                          .kind = obs::TraceKind::kPacketHop,
-                          .component = spec_.name, .detail = "service",
-                          .trace_id = packet.trace.trace_id,
-                          .hop = packet.trace.hop);
-            }
-            if (packet.is_eos()) {
-              if (++eos_received_ >= eos_expected_) stop_after_flush = true;
-              return;
-            }
-            ++d_packets;
-            d_records += packet.records;
-            d_bytes += packet.payload_bytes();
-            if (!latency_sampled) {
-              latency_.add(clock_.now() - packet.created_at);
-              latency_sampled = true;
-            }
-            processor_->process(packet, *this);
           },
-          max_batch);
+          max_batch_);
       if (exit_now || crashed_.load(std::memory_order_acquire)) return;
-      if (d_packets != 0) {
-        packets_processed_.fetch_add(d_packets, std::memory_order_relaxed);
-        records_processed_.fetch_add(d_records, std::memory_order_relaxed);
-        bytes_processed_.fetch_add(d_bytes, std::memory_order_relaxed);
-      }
+      publish_tally(tally);
       flush_emits();
       if (n == 0) break;  // closed and drained, or force-stopped
     }
     processor_->finish(*this);
     flush_emits();
-    for (const auto& route : routes_) send_eos_on_route(route);
-    GATES_TRACE(.time = clock_.now(), .kind = obs::TraceKind::kStageFinished,
-                .component = spec_.name);
-    finished_.store(true, std::memory_order_release);
-    engine_.notify_stage_finished();
+    finish_stage();
   }
 
   // -- replica pool data plane ------------------------------------------------
@@ -1554,12 +1364,9 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
   /// indistinguishable from the serial path as seen from downstream.
   void run_loop_pooled() {
     const bool failover = engine_.config_.failover.enabled;
-    const Duration beat = engine_.config_.failover.heartbeat_period;
-    const std::size_t max_batch = std::max<std::size_t>(
-        engine_.config_.batching.max_batch, 1);
     const bool keyed = spec_.parallelism.mode == ParallelismMode::kKeyed;
-    std::vector<Item> batch;
-    batch.reserve(max_batch);
+    std::vector<FlowItem> batch;
+    batch.reserve(max_batch_);
     while (true) {
       // Migration quiesce at the dispatch boundary: drain the pool to its
       // merge barrier and park (see quiesce_pool).
@@ -1567,14 +1374,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
         return quiesce_pool();
       }
       apply_scale();
-      batch.clear();
-      std::size_t n;
-      if (failover) {
-        last_beat_.store(clock_.now(), std::memory_order_release);
-        n = queue_.drain_for(batch, max_batch, beat);
-      } else {
-        n = queue_.drain(batch, max_batch);
-      }
+      const std::size_t n = drain_inbox(batch);
       if (crashed_.load(std::memory_order_acquire)) return close_pool();
       if (n == 0) {
         if (failover && !queue_.closed()) continue;  // idle beat
@@ -1582,7 +1382,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
       }
       bool terminal = false;
       for (std::size_t i = 0; i < n && !terminal; ++i) {
-        Item& item = batch[i];
+        FlowItem& item = batch[i];
         if (crashed_.load(std::memory_order_acquire)) return close_pool();
         const std::uint64_t mseq = next_seq_++;
         if (!merge_->acquire(mseq)) return close_pool();
@@ -1634,19 +1434,16 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     if (!pin_cores_.empty()) {
       pin_current_thread_to_core(pin_cores_[(r + 1) % pin_cores_.size()]);
     }
-    const std::size_t max_batch = std::max<std::size_t>(
-        engine_.config_.batching.max_batch, 1);
     std::vector<PoolItem> batch;
-    batch.reserve(max_batch);
+    batch.reserve(max_batch_);
     while (true) {
       batch.clear();
-      const std::size_t n = rep.queue->drain(batch, max_batch);
+      const std::size_t n = rep.queue->drain(batch, max_batch_);
       if (n == 0) return;  // closed and drained: retired or winding down
       profile_inbox_wait(batch, n);
-      std::uint64_t d_packets = 0;
-      std::uint64_t d_records = 0;
-      std::uint64_t d_bytes = 0;
-      Duration d_service = 0;
+      Tally tally;
+      // Pool latency is sampled by the releaser, in arrival order.
+      tally.latency_sampled = true;
       for (std::size_t i = 0; i < n; ++i) {
         if (crashed_.load(std::memory_order_acquire)) return;
         PoolItem& item = batch[i];
@@ -1658,29 +1455,9 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
           rep.processor->finish(capture);
           c.is_final = item.is_final;
         } else {
-          Duration service = 0;
-          if (!zero_service_) {
-            service = spec_.cost.service_time(item.packet) / cpu_factor_;
-            sleep_seconds(service);
-            rep.busy_time += service;
-            d_service += service;
-          }
-          if (!tracer_active_) {
-            GATES_TRACE(.time = clock_.now() - service, .duration = service,
-                        .kind = obs::TraceKind::kServiceSpan,
-                        .component = spec_.name,
-                        .detail = "replica-" + std::to_string(r));
-          } else if (item.packet.trace.sampled()) {
-            ++item.packet.trace.hop;
-            GATES_TRACE(.time = clock_.now() - service, .duration = service,
-                        .kind = obs::TraceKind::kPacketHop,
-                        .component = spec_.name, .detail = "service",
-                        .trace_id = item.packet.trace.trace_id,
-                        .hop = item.packet.trace.hop);
-          }
-          ++d_packets;
-          d_records += item.packet.records;
-          d_bytes += item.packet.payload_bytes();
+          // No inbox-wait hop: a pooled stage's queueing spans the
+          // dispatcher, and profile_inbox_wait above already charges it.
+          if (!service_one(item.packet, 0, rep.busy_time, tally)) return;
           c.created_at = item.packet.created_at;
           c.has_data = true;
           rep.processor->process(item.packet, capture);
@@ -1689,16 +1466,8 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
         merge_->complete(item.merge_seq, std::move(c));
         release_pass();
       }
-      if (d_packets != 0) {
-        packets_processed_.fetch_add(d_packets, std::memory_order_relaxed);
-        records_processed_.fetch_add(d_records, std::memory_order_relaxed);
-        bytes_processed_.fetch_add(d_bytes, std::memory_order_relaxed);
-        rep.packets.fetch_add(d_packets, std::memory_order_relaxed);
-      }
-      if (profile_ != nullptr) {
-        profile_->add(obs::Phase::kService, d_service);
-        profile_->add_packets(d_packets);
-      }
+      publish_tally(tally);
+      rep.packets.fetch_add(tally.packets, std::memory_order_relaxed);
     }
   }
 
@@ -1728,7 +1497,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
           emit(std::move(packet), port);
         }
         if (c->origin != nullptr) {
-          pending_acks_.emplace_back(c->origin, c->ack_seq);
+          pending_acks_.push_back({c->origin, c->ack_seq});
         }
         final_seen |= c->is_final;
       }
@@ -1736,41 +1505,18 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
         profile_->add(obs::Phase::kMergeHold, held);
       }
       flush_emits();
-      flush_pending_acks();
-      if (final_seen) finish_pool();
+      ack_grouped(pending_acks_, pending_acks_.size());
+      pending_acks_.clear();
+      if (final_seen) finish_stage();
       merge_->end_release();
     }
   }
 
-  /// Grouped exact acks for everything released in this pass: one retention
-  /// lock per distinct origin channel, mirroring flush_batch_effects.
-  void flush_pending_acks() {
-    const bool timed = profile_ != nullptr && !pending_acks_.empty();
-    const TimePoint ack_start = timed ? clock_.now() : 0;
-    for (std::size_t i = 0; i < pending_acks_.size(); ++i) {
-      ReplayChannel* origin = pending_acks_[i].first;
-      if (origin == nullptr) continue;
-      ack_seqs_.clear();
-      ack_seqs_.push_back(pending_acks_[i].second);
-      pending_acks_[i].first = nullptr;
-      for (std::size_t j = i + 1; j < pending_acks_.size(); ++j) {
-        if (pending_acks_[j].first == origin) {
-          ack_seqs_.push_back(pending_acks_[j].second);
-          pending_acks_[j].first = nullptr;
-        }
-      }
-      origin->ack_batch(ack_seqs_);
-    }
-    pending_acks_.clear();
-    if (timed) {
-      profile_->add(obs::Phase::kAckRetention, clock_.now() - ack_start);
-    }
-  }
-
-  /// Runs once, by whichever releaser pops the pool's final finish()
-  /// completion: the downstream-EOS half of the serial epilogue.
-  void finish_pool() {
-    for (const auto& route : routes_) send_eos_on_route(route);
+  /// The downstream half of every stage epilogue: EOS on each route, then
+  /// the finished flag. A pool runs it once, from whichever releaser pops
+  /// the final finish() completion.
+  void finish_stage() {
+    for (Outlet& route : routes_) route.send_eos(0);
     GATES_TRACE(.time = clock_.now(), .kind = obs::TraceKind::kStageFinished,
                 .component = spec_.name);
     finished_.store(true, std::memory_order_release);
@@ -1781,7 +1527,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
   /// marker — each replica processor must flush its partial state, in a
   /// merge slot ordered after all data — then the pool queues close so the
   /// replica threads exit once drained. The last marker carries is_final;
-  /// its releaser runs finish_pool().
+  /// its releaser runs finish_stage().
   void wind_down_pool() {
     const std::size_t active = active_replicas_.load(std::memory_order_relaxed);
     for (std::size_t r = 0; r < active; ++r) {
@@ -1856,16 +1602,13 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
   const StageSpec& spec_;
   NodeId node_;
   double cpu_factor_;
+  /// Packets per drain (Batching::max_batch, at least one).
+  const std::size_t max_batch_;
   std::unique_ptr<StreamProcessor> processor_;
-  StageInbox<Item> queue_;
-  /// Declared before routes_: a route's shaper may still be draining token
-  /// deliveries when its last reference drops during routes_ teardown, so
-  /// the pool must outlive the routes.
-  TransitPool transit_;
-  std::vector<Route> routes_;
-  // Worker-thread staging (no locks): per-route output batches, counter
-  // deltas accumulated across a batch, and an ack-seq scratch vector.
-  std::vector<RouteBatch> out_;
+  StageInbox<FlowItem> queue_;
+  std::vector<Outlet> routes_;
+  // Worker-thread staging (no locks): counter deltas accumulated across a
+  // batch, and an ack-seq scratch vector.
   std::uint64_t emitted_pending_ = 0;
   std::uint64_t dropped_pending_ = 0;
   std::vector<std::uint64_t> ack_seqs_;
@@ -1894,7 +1637,6 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
   // dispatcher share it without coordination.
   obs::PhaseClock* profile_ = nullptr;
   bool tracer_active_ = false;
-  bool stamp_queued_ = false;
   /// True when the stage's cost model is all zeros (resolved in start()):
   /// the data loops skip service arithmetic and sleeps entirely.
   bool zero_service_ = false;
@@ -1934,7 +1676,11 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
   std::uint64_t next_seq_ = 0;         // dispatcher thread only
   std::size_t rr_next_ = 0;            // dispatcher thread only
   /// Releaser-only (handed between threads by the merge mutex).
-  std::vector<std::pair<ReplayChannel*, std::uint64_t>> pending_acks_;
+  struct PendingAck {
+    ReplayChannel* origin;
+    std::uint64_t seq;
+  };
+  std::vector<PendingAck> pending_acks_;
   std::unique_ptr<adapt::ReplicaScaler> scaler_;         // control thread only
   std::unique_ptr<AdjustmentParameter> replicas_param_;  // control thread only
 
@@ -1956,8 +1702,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
 // TransitPool (out of line: deliver() needs StageWorker's definition)
 // ---------------------------------------------------------------------------
 
-std::uint64_t RtEngine::TransitPool::check_in(std::vector<FlowItem>& items,
-                                              StageWorker* dest, bool stamp) {
+std::uint64_t RtEngine::TransitPool::check_in(std::vector<FlowItem>& items) {
   std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t token;
   if (!free_.empty()) {
@@ -1967,46 +1712,220 @@ std::uint64_t RtEngine::TransitPool::check_in(std::vector<FlowItem>& items,
     token = slots_.size();
     slots_.emplace_back();
   }
-  Slot& s = slots_[static_cast<std::size_t>(token)];
   // Swap, don't move: the sender walks away with the retired slot's vector
   // (empty but with grown capacity), so its next staging round reuses it.
-  s.items.swap(items);
-  s.dest = dest;
-  s.stamp = stamp;
+  slots_[static_cast<std::size_t>(token)].swap(items);
   return token;
 }
 
 void RtEngine::TransitPool::deliver(std::uint64_t token) {
-  Slot* s;
+  std::vector<FlowItem>* items;
   {
     // Address is stable (deque) once taken; an in-flight slot is owned by
     // the shaper thread alone, so the push below runs unlocked.
     std::lock_guard<std::mutex> lock(mu_);
-    s = &slots_[static_cast<std::size_t>(token)];
+    items = &slots_[static_cast<std::size_t>(token)];
   }
-  if (s->stamp) {
+  if (stamp_) {
     // Queued-at reflects arrival at the inbox, not send time: link delay
     // must land in shaper-delay attribution, not inbox-wait.
-    const TimePoint t = s->dest->now();
-    for (FlowItem& it : s->items) it.queued_at = t;
+    const TimePoint t = dest_->now();
+    for (FlowItem& it : *items) it.queued_at = t;
   }
-  const std::size_t n = s->items.size();
-  const std::size_t pushed = s->dest->queue().push_all(s->items);
+  const std::size_t n = items->size();
+  const std::size_t pushed = dest_->queue().push_all(*items);
   if (pushed < n) {
     // Receiver gone mid-flight: with retention the packets replay after
     // failover; without it they are the crash's loss window, traced
-    // against the receiver like the direct path does.
-    GATES_TRACE(.time = s->dest->now(), .kind = obs::TraceKind::kPacketDrop,
-                .component = s->dest->stage_name(),
+    // against the receiver like the unshaped path does.
+    GATES_TRACE(.time = dest_->now(), .kind = obs::TraceKind::kPacketDrop,
+                .component = dest_->stage_name(),
                 .detail = "downstream queue closed",
                 .value_new = static_cast<double>(n - pushed));
   }
-  s->items.clear();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    s->dest = nullptr;
-    free_.push_back(token);
+  items->clear();
+  std::lock_guard<std::mutex> lock(mu_);
+  free_.push_back(token);
+}
+
+// ---------------------------------------------------------------------------
+// Outlet (out of line: the send path needs StageWorker's definition)
+// ---------------------------------------------------------------------------
+
+RtEngine::Outlet::Outlet(RtEngine& engine, std::shared_ptr<ThrottleGate> gate,
+                         StageWorker* dest, std::size_t port,
+                         std::shared_ptr<net::LinkShaper> shaper)
+    : gate(std::move(gate)),
+      dest(dest),
+      port(port),
+      shaper(std::move(shaper)),
+      engine_(&engine) {
+  if (engine.config_.failover.enabled) {
+    channel = std::make_shared<ReplayChannel>(
+        engine.config_.failover.replay_buffer_packets);
   }
+}
+
+void RtEngine::Outlet::arm(bool profile, bool tracer) {
+  profile_ = profile;
+  tracer_ = tracer;
+  direct_ = shaper == nullptr && channel == nullptr && !profile &&
+            dest->queue().spsc();
+  if (shaper != nullptr && transit == nullptr) {
+    transit = std::make_unique<TransitPool>(dest, profile || tracer);
+  }
+}
+
+inline std::size_t RtEngine::Outlet::stage(Packet&& packet) {
+  // Direct fast path: a clean, currently-unthrottled flow into an SPSC
+  // inbox moves the packet straight into the destination ring — no
+  // staging vector, no wire-byte accounting (the gate would no-op anyway),
+  // no batched flush. The consumer wakeup is deferred to the next flush,
+  // since the wake fence costs more than the push. A full ring (or a
+  // mid-run rate change) falls back to the staged, charged, blocking path
+  // below; the empty-staging guard keeps direct and staged items in order.
+  if (direct_ && items_.empty() && gate->unthrottled()) {
+    TimePoint queued_at = 0;
+    if (tracer_ && packet.trace.sampled()) queued_at = engine_->clock_.now();
+    const bool pushed = dest->queue().try_produce([&](FlowItem& slot) {
+      slot.packet = std::move(packet);
+      slot.origin = nullptr;
+      slot.seq = 0;
+      slot.queued_at = queued_at;
+    });
+    if (pushed) {
+      wake_pending_ = true;
+      return 0;
+    }
+  }
+  wire_bytes_ += engine_->config_.wire.wire_size(packet.payload_bytes(),
+                                                 packet.records);
+  items_.push_back({std::move(packet), nullptr, 0});
+  return items_.size() >= engine_->config_.batching.max_batch ? flush() : 0;
+}
+
+inline void RtEngine::Outlet::wake() {
+  if (wake_pending_) {
+    wake_pending_ = false;
+    dest->queue().wake_consumer();
+  }
+}
+
+inline std::size_t RtEngine::Outlet::flush() {
+  // Settle the deferred wakeup first: the blocking push below may park
+  // this thread, and a consumer that slept through un-woken direct pushes
+  // would deadlock against it.
+  wake();
+  if (items_.empty()) return 0;
+  if (shaper != nullptr) {
+    flush_shaped();
+    return 0;
+  }
+  gate->acquire(wire_bytes_);
+  wire_bytes_ = 0;
+  if (profile_) {
+    const TimePoint t = engine_->clock_.now();
+    for (FlowItem& it : items_) it.queued_at = t;
+  } else if (tracer_) {
+    // Sampling means almost no item needs the inbox-arrival stamp; read
+    // the clock only when a sampled packet actually sits in the batch.
+    TimePoint t = 0;
+    for (FlowItem& it : items_) {
+      if (it.packet.trace.sampled()) {
+        if (t == 0) t = engine_->clock_.now();
+        it.queued_at = t;
+      }
+    }
+  }
+  if (channel) channel->retain_batch(items_);
+  // Blocking push: a full downstream buffer backpressures this thread.
+  const std::size_t n = items_.size();
+  const std::size_t refused = n - dest->queue().push_all(items_);
+  if (refused != 0) {
+    GATES_TRACE(.time = engine_->clock_.now(),
+                .kind = obs::TraceKind::kPacketDrop,
+                .component = dest->stage_name(),
+                .detail = "downstream queue closed",
+                .value_new = static_cast<double>(refused));
+  }
+  items_.clear();
+  return refused;
+}
+
+/// The sender thread samples per-item loss/delay plans (so retention order
+/// matches wire order), charges the throttle gate for the surviving bytes
+/// plus retransmissions, retains, and hands the queue push to the shaper
+/// thread after the batch's delay. Jitter is per-batch (max over items) — a
+/// batch is one wire burst.
+void RtEngine::Outlet::flush_shaped() {
+  std::size_t wire = wire_bytes_;
+  wire_bytes_ = 0;
+  Duration extra = 0;
+  std::size_t kept = 0;
+  std::size_t lost = 0;
+  for (std::size_t i = 0; i < items_.size(); ++i) {
+    Packet& packet = items_[i].packet;
+    const net::LinkShaper::Plan plan = shaper->plan_send();
+    const std::size_t item_wire =
+        engine_->config_.wire.wire_size(packet.payload_bytes(), packet.records);
+    if (plan.dropped) {
+      // Link loss (kDrop): the message never reaches retention or the
+      // receiver. Accounted on the link, not the sender — drop counters
+      // keep meaning "receiver queue closed".
+      wire -= item_wire;
+      ++lost;
+      continue;
+    }
+    if (tracer_ && packet.trace.sampled()) {
+      // Causal link hop: the sampled packet's planned time on the wire
+      // (base latency + RTO/jitter hold-back), attributed to the link.
+      GATES_TRACE(.time = engine_->clock_.now(),
+                  .duration = plan.base_latency + plan.extra_delay,
+                  .kind = obs::TraceKind::kPacketHop,
+                  .component = shaper->name(), .detail = "link",
+                  .trace_id = packet.trace.trace_id, .hop = packet.trace.hop);
+    }
+    wire += item_wire * plan.retransmissions;
+    extra = std::max(extra, plan.extra_delay);
+    if (kept != i) items_[kept] = std::move(items_[i]);
+    ++kept;
+  }
+  if (lost != 0) {
+    GATES_TRACE(.time = engine_->clock_.now(),
+                .kind = obs::TraceKind::kPacketDrop,
+                .component = shaper->name(), .detail = "link loss",
+                .value_new = static_cast<double>(lost));
+  }
+  items_.resize(kept);
+  if (wire > 0) gate->acquire(wire);
+  if (items_.empty()) return;
+  if (channel) channel->retain_batch(items_);
+  // Pooled hand-off: the batch parks in a recycled TransitPool slot (the
+  // swap returns a retired slot's capacity to items_) and the shaper
+  // releases it by token — no per-batch allocation.
+  shaper->deliver_after(extra, transit.get(), transit->check_in(items_));
+}
+
+void RtEngine::Outlet::send_eos(StreamId stream) {
+  gate->acquire(engine_->config_.wire.per_message_overhead);
+  FlowItem item{Packet::eos(stream, engine_->clock_.now()), nullptr, 0};
+  if (channel) {
+    item.origin = channel.get();
+    item.seq = channel->retain(item.packet);
+  }
+  if (shaper != nullptr) {
+    auto shared = std::make_shared<FlowItem>(std::move(item));
+    StageWorker* to = dest;
+    shaper->deliver_in_order(
+        [to, shared] { to->queue().push(std::move(*shared)); });
+  } else {
+    dest->queue().push(std::move(item));
+  }
+}
+
+void RtEngine::Outlet::discard() {
+  items_.clear();
+  wire_bytes_ = 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -2014,25 +1933,15 @@ void RtEngine::TransitPool::deliver(std::uint64_t token) {
 // ---------------------------------------------------------------------------
 class RtEngine::SourceWorker {
  public:
-  SourceWorker(RtEngine& engine, const SourceSpec& spec, StageWorker* target,
-               std::shared_ptr<ThrottleGate> gate,
-               std::shared_ptr<net::LinkShaper> shaper, Rng rng,
-               const Clock& clock)
+  SourceWorker(RtEngine& engine, const SourceSpec& spec, Outlet outlet,
+               Rng rng, const Clock& clock)
       : engine_(engine),
         spec_(spec),
-        target_(target),
-        gate_(std::move(gate)),
-        shaper_(std::move(shaper)),
+        outlet_(std::move(outlet)),
         rng_(rng),
-        clock_(clock) {
-    if (engine_.config_.failover.enabled) {
-      channel_ = std::make_shared<ReplayChannel>(
-          engine_.config_.failover.replay_buffer_packets);
-    }
-  }
+        clock_(clock) {}
 
-  StageWorker* target() { return target_; }
-  ReplayChannel* channel() { return channel_.get(); }
+  const Outlet& outlet() const { return outlet_; }
   /// Pin the source thread to `core` (engine setup, before start()).
   void set_pin_core(int core) { pin_core_ = core; }
 
@@ -2044,9 +1953,9 @@ class RtEngine::SourceWorker {
   void set_remote_ingress(std::shared_ptr<net::RemoteLink> link) {
     remote_ingress_ = std::move(link);
     ack_state_ = std::make_shared<IngressAckState>();
-    if (channel_) {
+    if (outlet_.channel) {
       auto state = ack_state_;
-      channel_->ack_forward =
+      outlet_.channel->ack_forward =
           [state](const std::vector<std::uint64_t>& seqs) {
             std::lock_guard<std::mutex> lock(state->mu);
             for (const std::uint64_t s : seqs) {
@@ -2070,105 +1979,14 @@ class RtEngine::SourceWorker {
   void request_stop() { stop_.store(true, std::memory_order_release); }
 
  private:
-  /// One batched send: a single throttle acquire of the batch's summed wire
-  /// bytes, one retention lock, one queue transaction. Returns false when
-  /// production should stop (downstream closed by force-stop, no failover).
-  bool flush(std::vector<StageWorker::Item>& staged, std::size_t& wire_bytes) {
-    if (staged.empty()) return true;
-    if (shaper_) return flush_shaped(staged, wire_bytes);
-    gate_->acquire(wire_bytes);
-    wire_bytes = 0;
-    if (profile_active_) {
-      const TimePoint t = clock_.now();
-      for (StageWorker::Item& it : staged) it.queued_at = t;
-    } else if (tracer_active_) {
-      // Same selective stamping as StageWorker::flush_route: with 1-in-N
-      // sampling the clock is read only when a sampled packet is present.
-      TimePoint t = 0;
-      for (StageWorker::Item& it : staged) {
-        if (it.packet.trace.sampled()) {
-          if (t == 0) t = clock_.now();
-          it.queued_at = t;
-        }
-      }
-    }
-    if (channel_) channel_->retain_batch(staged);
-    const std::size_t n = staged.size();
-    if (target_->queue().push_all(staged) < n) {
-      // Closed queue: force-stop (legacy → quit) or a crashed target
-      // (failover → keep producing; retention holds the tail for replay).
-      staged.clear();
-      if (!channel_) return false;
-    }
-    return true;
-  }
-
-  /// Shaped variant: same plan/charge/retain discipline as the stage-side
-  /// flush_route_shaped. The push happens on the shaper thread, so a closed
-  /// target can no longer stop production synchronously — a force-stopped
-  /// run ends via request_stop() instead.
-  bool flush_shaped(std::vector<StageWorker::Item>& staged,
-                    std::size_t& wire_bytes) {
-    std::size_t wire = wire_bytes;
-    wire_bytes = 0;
-    Duration extra = 0;
-    std::size_t kept = 0;
-    std::size_t lost = 0;
-    for (std::size_t i = 0; i < staged.size(); ++i) {
-      const net::LinkShaper::Plan plan = shaper_->plan_send();
-      const std::size_t item_wire = engine_.config_.wire.wire_size(
-          staged[i].packet.payload_bytes(), staged[i].packet.records);
-      if (plan.dropped) {
-        wire -= item_wire;
-        ++lost;
-        continue;
-      }
-      if (tracer_active_ && staged[i].packet.trace.sampled()) {
-        GATES_TRACE(.time = clock_.now(),
-                    .duration = plan.base_latency + plan.extra_delay,
-                    .kind = obs::TraceKind::kPacketHop,
-                    .component = shaper_->name(), .detail = "link",
-                    .trace_id = staged[i].packet.trace.trace_id,
-                    .hop = staged[i].packet.trace.hop);
-      }
-      wire += item_wire * plan.retransmissions;
-      extra = std::max(extra, plan.extra_delay);
-      if (kept != i) staged[kept] = std::move(staged[i]);
-      ++kept;
-    }
-    if (lost != 0) {
-      GATES_TRACE(.time = clock_.now(), .kind = obs::TraceKind::kPacketDrop,
-                  .component = shaper_->name(), .detail = "link loss",
-                  .value_new = static_cast<double>(lost));
-    }
-    staged.resize(kept);
-    if (wire > 0) gate_->acquire(wire);
-    if (staged.empty()) return true;
-    if (channel_) channel_->retain_batch(staged);
-    const std::uint64_t token =
-        transit_.check_in(staged, target_, stamp_queued_);
-    shaper_->deliver_after(extra, &transit_, token);
-    return true;
-  }
-
   void run_loop() {
     if (pin_core_ >= 0) pin_current_thread_to_core(pin_core_);
     if (remote_ingress_) return run_loop_remote_ingress();
-    tracer_active_ = obs::PacketTracer::global().active();
-    profile_active_ = obs::Profiler::global().enabled();
-    stamp_queued_ = tracer_active_ || profile_active_;
-    // Per-packet direct push into the target ring (mirrors StageWorker's
-    // route.direct): clean unshaped flow, no retention, no profiler
-    // stamping, SPSC inbox. The throttle is re-checked per packet.
-    const bool direct = shaper_ == nullptr && channel_ == nullptr &&
-                        !profile_active_ && target_->queue().spsc();
-    bool wake_pending = false;
+    const bool tracer_active = obs::PacketTracer::global().active();
+    outlet_.arm(obs::Profiler::global().enabled(), tracer_active);
     const std::string trace_name = "source:" + std::to_string(spec_.stream);
     const std::size_t max_batch = std::max<std::size_t>(
         engine_.config_.batching.max_batch, 1);
-    std::vector<StageWorker::Item> staged;
-    staged.reserve(max_batch);
-    std::size_t staged_wire = 0;
     // Packets produced since the last flush boundary — counts direct pushes
     // too, so pacing/flush cadence is unchanged by the fast path.
     std::size_t batch_fill = 0;
@@ -2180,7 +1998,7 @@ class RtEngine::SourceWorker {
     // Hoisted divide: the uniform inter-arrival gap is loop-invariant.
     const Duration uniform_gap = 1.0 / spec_.rate_hz;
     std::uint64_t seq = 0;
-    // Local sampling head (see the tracer_active_ block below): 0 means
+    // Local sampling head (see the tracer_active block below): 0 means
     // "sample the next packet", so the first packet anchors the trace.
     std::uint64_t sample_countdown = 0;
     // Default (generator-less) sources send identical zero-filled payloads:
@@ -2206,7 +2024,7 @@ class RtEngine::SourceWorker {
       packet.stream = spec_.stream;
       packet.sequence = seq;
       packet.created_at = batch_now;
-      if (tracer_active_) {
+      if (tracer_active) {
         // Causal sampling decision is made exactly once, at the origin; the
         // context then rides the packet through fan-out, retention, replay
         // and failover re-delivery. Hop 0 anchors the Perfetto flow. The
@@ -2226,39 +2044,21 @@ class RtEngine::SourceWorker {
         --sample_countdown;
       }
       ++seq;
-      ++batch_fill;
-      bool direct_done = false;
-      if (direct && staged.empty() && gate_->unthrottled()) {
-        TimePoint queued_at = 0;
-        if (tracer_active_ && packet.trace.sampled()) {
-          queued_at = clock_.now();
-        }
-        direct_done = target_->queue().try_produce([&](StageWorker::Item& s) {
-          s.packet = std::move(packet);
-          s.origin = nullptr;
-          s.seq = 0;
-          s.queued_at = queued_at;
-        });
-        wake_pending |= direct_done;  // full ring: stage it instead
-      }
-      if (!direct_done) {
-        staged_wire += engine_.config_.wire.wire_size(packet.payload_bytes(),
-                                                      packet.records);
-        staged.push_back({std::move(packet), nullptr, 0});
-      }
       owed_sleep += spec_.poisson ? rng_.exponential(spec_.rate_hz)
                                   : uniform_gap;
-      if (batch_fill >= max_batch ||
-          owed_sleep >= engine_.config_.batching.max_source_delay) {
+      std::size_t refused = outlet_.stage(std::move(packet));
+      const bool boundary =
+          ++batch_fill >= max_batch ||
+          owed_sleep >= engine_.config_.batching.max_source_delay;
+      if (boundary) refused += outlet_.flush();
+      // A closed target without retention means a force-stopped run: stop
+      // producing. With retention a crashed target's tail survives in the
+      // channel for replay, so production goes on.
+      if (refused != 0 && !outlet_.channel) {
+        return outlet_.send_eos(spec_.stream);
+      }
+      if (boundary) {
         batch_fill = 0;
-        // Wake before the (possibly blocking) staged flush: a consumer
-        // still parked across un-woken direct pushes must start draining
-        // before this thread can afford to park on a full ring.
-        if (wake_pending) {
-          wake_pending = false;
-          target_->queue().wake_consumer();
-        }
-        if (!flush(staged, staged_wire)) return finish_eos();
         // Settle the accumulated inter-arrival debt. precise_sleep holds
         // sub-millisecond gaps that sleep_for's timer granularity would
         // undershoot — high-rate paced sources used to drift slow because
@@ -2268,9 +2068,8 @@ class RtEngine::SourceWorker {
         batch_now = clock_.now();
       }
     }
-    if (wake_pending) target_->queue().wake_consumer();
-    flush(staged, staged_wire);
-    finish_eos();
+    outlet_.flush();
+    outlet_.send_eos(spec_.stream);
   }
 
   /// Remote inlet: receives DATA frames from the ingress link, lands each
@@ -2289,7 +2088,7 @@ class RtEngine::SourceWorker {
     obs::PhaseClock* profile = obs::Profiler::global().enabled()
                                    ? &obs::Profiler::global().stage(spec_.name)
                                    : nullptr;
-    std::vector<StageWorker::Item> items;
+    std::vector<FlowItem> items;
     std::vector<std::uint64_t> wire_seqs;
     std::vector<std::uint64_t> flush_acks;
     bool eos_seen = false;
@@ -2332,7 +2131,7 @@ class RtEngine::SourceWorker {
           GATES_LOG(kWarn, "rt-engine")
               << "ingress '" << spec_.name << "' lost link '" << link.name()
               << "': " << ev.status().to_string();
-          return finish_eos();
+          return outlet_.send_eos(spec_.stream);
         }
         while (!stop_.load(std::memory_order_acquire)) {
           if (Status r = link.reconnect(); r.is_ok()) break;
@@ -2349,7 +2148,7 @@ class RtEngine::SourceWorker {
           wire_seqs.clear();
           std::size_t wire_bytes = 0;
           for (auto& wp : e.packets) {
-            StageWorker::Item item;
+            FlowItem item;
             item.packet.stream = wp.stream;
             item.packet.sequence = wp.seq;
             item.packet.created_at = now;  // latency restarts at the hop
@@ -2365,20 +2164,21 @@ class RtEngine::SourceWorker {
             profile->add(obs::Phase::kDeserialize, clock_.now() - t0);
             profile->add_packets(items.size());
           }
-          gate_->acquire(wire_bytes);
-          if (channel_) {
-            channel_->retain_batch(items);
+          outlet_.gate->acquire(wire_bytes);
+          if (outlet_.channel) {
+            outlet_.channel->retain_batch(items);
             std::lock_guard<std::mutex> lock(ack_state_->mu);
             for (std::size_t i = 0; i < items.size(); ++i) {
               ack_state_->local_to_wire[items[i].seq] = wire_seqs[i];
             }
           }
           const std::size_t n = items.size();
-          if (target_->queue().push_all(items) < n) {
+          if (outlet_.dest->queue().push_all(items) < n) {
             items.clear();
-            if (!channel_) return;  // force-stopped, nothing to replay
+            // Force-stopped with nothing to replay.
+            if (!outlet_.channel) return;
           }
-          if (!channel_) {
+          if (!outlet_.channel) {
             // No local retention: delivery into the inbox is the ack.
             std::lock_guard<std::mutex> lock(ack_state_->mu);
             ack_state_->pending.insert(ack_state_->pending.end(),
@@ -2390,15 +2190,15 @@ class RtEngine::SourceWorker {
           eos_seen = true;
           eos_at = clock_.now();
           Packet eos = Packet::eos(spec_.stream, clock_.now());
-          StageWorker::Item item{std::move(eos), nullptr, 0};
-          if (channel_) {
-            item.origin = channel_.get();
-            item.seq = channel_->retain(item.packet);
+          FlowItem item{std::move(eos), nullptr, 0};
+          if (outlet_.channel) {
+            item.origin = outlet_.channel.get();
+            item.seq = outlet_.channel->retain(item.packet);
             std::lock_guard<std::mutex> lock(ack_state_->mu);
             ack_state_->local_to_wire[item.seq] = e.base_seq;
           }
-          target_->queue().push(std::move(item));
-          if (!channel_) {
+          outlet_.dest->queue().push(std::move(item));
+          if (!outlet_.channel) {
             std::lock_guard<std::mutex> lock(ack_state_->mu);
             ack_state_->pending.push_back(e.base_seq);
           }
@@ -2420,24 +2220,6 @@ class RtEngine::SourceWorker {
     if (!flush_acks.empty()) (void)link.send_acks(flush_acks);
   }
 
-  void finish_eos() {
-    Packet eos = Packet::eos(spec_.stream, clock_.now());
-    StageWorker::Item item{std::move(eos), nullptr, 0};
-    if (channel_) {
-      item.origin = channel_.get();
-      item.seq = channel_->retain(item.packet);
-    }
-    if (shaper_) {
-      // FIFO behind any in-flight data, immune to loss/jitter.
-      auto shared = std::make_shared<StageWorker::Item>(std::move(item));
-      StageWorker* target = target_;
-      shaper_->deliver_in_order(
-          [target, shared] { target->queue().push(std::move(*shared)); });
-    } else {
-      target_->queue().push(std::move(item));
-    }
-  }
-
   /// Remote-ingress ack bookkeeping, shared between this worker (records
   /// local→wire seq mappings, flushes pending) and whichever downstream
   /// thread runs the ReplayChannel ack (appends to pending via the
@@ -2451,13 +2233,7 @@ class RtEngine::SourceWorker {
 
   RtEngine& engine_;
   const SourceSpec& spec_;
-  StageWorker* target_;
-  std::shared_ptr<ThrottleGate> gate_;
-  /// Declared before shaper_ so in-flight token deliveries drain (shaper
-  /// teardown) while the pool is still alive.
-  TransitPool transit_;
-  std::shared_ptr<net::LinkShaper> shaper_;
-  std::shared_ptr<ReplayChannel> channel_;
+  Outlet outlet_;
   std::shared_ptr<net::RemoteLink> remote_ingress_;
   std::shared_ptr<IngressAckState> ack_state_;
   Rng rng_;
@@ -2466,11 +2242,6 @@ class RtEngine::SourceWorker {
   Duration horizon_ = 0;
   int pin_core_ = -1;
   std::atomic<bool> stop_{false};
-  // Set at the top of run_loop (source thread), read only by that thread
-  // and the flush helpers it calls.
-  bool tracer_active_ = false;
-  bool profile_active_ = false;
-  bool stamp_queued_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -2610,18 +2381,19 @@ Status RtEngine::setup() {
   for (const auto& edge : spec_.edges) {
     const NodeId from = placement_.stage_nodes[edge.from_stage];
     const NodeId to = placement_.stage_nodes[edge.to_stage];
-    StageWorker::Route route{gate_for_flow(from, to),
-                             stages_[edge.to_stage].get(), edge.port};
-    route.shaper = shaper_for_flow(from, to);
-    stages_[edge.from_stage]->add_route(std::move(route));
+    stages_[edge.from_stage]->add_route(
+        Outlet(*this, gate_for_flow(from, to), stages_[edge.to_stage].get(),
+               edge.port, shaper_for_flow(from, to)));
     stages_[edge.to_stage]->add_upstream(stages_[edge.from_stage].get());
   }
   for (std::size_t i = 0; i < spec_.sources.size(); ++i) {
     const auto& src = spec_.sources[i];
     const NodeId to = placement_.stage_nodes[src.target_stage];
     sources_.push_back(std::make_unique<SourceWorker>(
-        *this, src, stages_[src.target_stage].get(),
-        gate_for_flow(src.location, to), shaper_for_flow(src.location, to),
+        *this, src,
+        Outlet(*this, gate_for_flow(src.location, to),
+               stages_[src.target_stage].get(), 0,
+               shaper_for_flow(src.location, to)),
         root_rng_.fork(i), clock_));
   }
   for (std::size_t i = 0; i < spec_.stages.size(); ++i) {
@@ -2636,30 +2408,28 @@ Status RtEngine::setup() {
   // thread wins the merge-release election (any replica or the
   // dispatcher), so it counts as multiple producers and the downstream
   // inbox keeps the mutex queue.
-  if (config_.batching.spsc) {
-    std::vector<std::size_t> producers(spec_.stages.size(), 0);
-    // A shaped flow's pushes come from its shaper thread, which may be
-    // shared with other flows into the same stage — count it like a pooled
-    // upstream (2) so the inbox conservatively keeps the mutex queue.
-    auto flow_shaped = [this](NodeId from, NodeId to) {
-      return shapers_.count(flow_key(from, to).first) != 0;
-    };
-    for (const auto& edge : spec_.edges) {
-      const bool pooled_upstream = spec_.stages[edge.from_stage]
-                                       .parallelism.mode !=
-                                   ParallelismMode::kSerial;
-      const bool shaped = flow_shaped(placement_.stage_nodes[edge.from_stage],
-                                      placement_.stage_nodes[edge.to_stage]);
-      producers[edge.to_stage] += (pooled_upstream || shaped) ? 2 : 1;
-    }
-    for (const auto& src : spec_.sources) {
-      const bool shaped = flow_shaped(src.location,
-                                      placement_.stage_nodes[src.target_stage]);
-      producers[src.target_stage] += shaped ? 2 : 1;
-    }
-    for (std::size_t i = 0; i < stages_.size(); ++i) {
-      if (producers[i] == 1) stages_[i]->enable_spsc();
-    }
+  std::vector<std::size_t> producers(spec_.stages.size(), 0);
+  // A shaped flow's pushes come from its shaper thread, which may be shared
+  // with other flows into the same stage — count it like a pooled upstream
+  // (2) so the inbox conservatively keeps the mutex queue.
+  auto flow_shaped = [this](NodeId from, NodeId to) {
+    return shapers_.count(flow_key(from, to).first) != 0;
+  };
+  for (const auto& edge : spec_.edges) {
+    const bool pooled_upstream =
+        spec_.stages[edge.from_stage].parallelism.mode !=
+        ParallelismMode::kSerial;
+    const bool shaped = flow_shaped(placement_.stage_nodes[edge.from_stage],
+                                    placement_.stage_nodes[edge.to_stage]);
+    producers[edge.to_stage] += (pooled_upstream || shaped) ? 2 : 1;
+  }
+  for (const auto& src : spec_.sources) {
+    const bool shaped =
+        flow_shaped(src.location, placement_.stage_nodes[src.target_stage]);
+    producers[src.target_stage] += shaped ? 2 : 1;
+  }
+  for (std::size_t i = 0; i < stages_.size(); ++i) {
+    if (producers[i] == 1) stages_[i]->queue().use_spsc();
   }
   // Thread-to-core placement: resolve each pipeline node's core list, then
   // hand it to the workers hosted there (threads pin themselves at loop
@@ -3052,14 +2822,13 @@ void RtEngine::restart_stage(std::size_t stage_index, FailureReport& record) {
       }
     }
   };
+  auto replay_into = [&](const Outlet& outlet) {
+    if (outlet.dest == stage) replay(outlet.channel.get());
+  };
   for (auto& up : stages_) {
-    for (auto& route : up->routes()) {
-      if (route.dest == stage) replay(route.channel.get());
-    }
+    for (const Outlet& route : up->routes()) replay_into(route);
   }
-  for (auto& src : sources_) {
-    if (src->target() == stage) replay(src->channel());
-  }
+  for (auto& src : sources_) replay_into(src->outlet());
   record.outcome = FailureReport::Outcome::kRecovered;
   record.recovered_on = stage->node();
   record.packets_replayed = replayed;
@@ -3144,38 +2913,14 @@ void RtEngine::process_migrations(TimePoint run_started) {
 
 std::optional<ReplacementDecision> RtEngine::default_migration_target(
     std::size_t stage_index) const {
-  // Candidate universe: every node this engine has heard of; least-loaded
-  // by live stages, ties to the lowest id — SimEngine::default_replacement.
-  std::vector<NodeId> candidates;
-  auto consider = [&](NodeId n) {
-    if (n == kInvalidNode) return;
-    if (std::find(candidates.begin(), candidates.end(), n) ==
-        candidates.end()) {
-      candidates.push_back(n);
-    }
-  };
-  for (NodeId n = 0; n < hosts_.cpu_factor.size(); ++n) consider(n);
-  for (const auto& stage : stages_) consider(stage->node());
-  for (const auto& src : spec_.sources) consider(src.location);
-  if (candidates.empty()) return std::nullopt;
-  std::sort(candidates.begin(), candidates.end());
-  NodeId best = kInvalidNode;
-  std::size_t best_load = 0;
-  for (NodeId candidate : candidates) {
-    std::size_t load = 0;
-    for (std::size_t i = 0; i < stages_.size(); ++i) {
-      if (i != stage_index && stages_[i]->node() == candidate &&
-          !stages_[i]->crashed() && !stages_[i]->finished()) {
-        ++load;
-      }
-    }
-    if (best == kInvalidNode || load < best_load) {
-      best = candidate;
-      best_load = load;
-    }
-  }
-  if (best == kInvalidNode) return std::nullopt;
-  return ReplacementDecision{best, ProcessorFactory{}};
+  std::vector<NodeId> nodes;
+  for (const auto& stage : stages_) nodes.push_back(stage->node());
+  return least_loaded_target(
+      spec_, hosts_, nodes, [](NodeId) { return true; },
+      [&](std::size_t i) {
+        return i != stage_index && !stages_[i]->crashed() &&
+               !stages_[i]->finished();
+      });
 }
 
 void RtEngine::migrate_stage_now(std::size_t stage_index, NodeId target,
@@ -3319,7 +3064,7 @@ StreamProcessor& RtEngine::replica_processor(std::size_t stage_index,
 
 bool RtEngine::stage_inbox_spsc(std::size_t stage_index) const {
   GATES_CHECK(stage_index < stages_.size());
-  return stages_[stage_index]->inbox_spsc();
+  return stages_[stage_index]->queue().spsc();
 }
 
 }  // namespace gates::core

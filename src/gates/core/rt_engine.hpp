@@ -53,10 +53,6 @@ class RtEngine {
       /// Max packets moved per queue/throttle/retention transaction.
       /// 1 restores the pre-batching per-packet behavior.
       std::size_t max_batch = 32;
-      /// Lock-free SPSC-ring fast path for stage inboxes with exactly one
-      /// data-plane producer (sources and fan-in stages keep the mutex
-      /// queue; control-plane injections ride a side channel either way).
-      bool spsc = true;
       /// Sources flush their staged batch whenever the accumulated
       /// inter-arrival pacing debt reaches this many seconds, so slow
       /// sources (gap >= this) still emit packet-by-packet and pacing is
@@ -223,6 +219,9 @@ class RtEngine {
   /// are recycled, so shaped sends stop allocating a shared_ptr'd vector
   /// per batch (see net::TransitSink).
   class TransitPool;
+  /// One flow's send path (staging, batched or shaped sends, EOS); sources
+  /// and stage routes use the same one.
+  class Outlet;
 
   /// Workers signal this after setting their finished flag so the control
   /// loop wakes immediately instead of discovering completion up to one
@@ -251,8 +250,8 @@ class RtEngine {
   /// Runs one migration through the MigrationCoordinator (control thread).
   void migrate_stage_now(std::size_t stage_index, NodeId target,
                          TimePoint run_started);
-  /// Fallback matchmaking when no migration provider is installed: the same
-  /// least-loaded-by-live-stages policy the SimEngine uses.
+  /// Fallback matchmaking when no migration provider is installed:
+  /// least_loaded_target over the live stages, as in the SimEngine.
   std::optional<ReplacementDecision> default_migration_target(
       std::size_t stage_index) const;
   /// Publishes every shaper's accumulated planned hold time into its link

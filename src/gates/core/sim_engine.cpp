@@ -1330,40 +1330,11 @@ void SimEngine::on_failure_detected(std::size_t stage_index,
 
 std::optional<ReplacementDecision> SimEngine::default_replacement(
     std::size_t stage_index) const {
-  // Candidate universe: every node this engine has heard of.
-  std::vector<NodeId> candidates;
-  auto consider = [&](NodeId n) {
-    if (n == kInvalidNode || node_down(n)) return;
-    if (std::find(candidates.begin(), candidates.end(), n) ==
-        candidates.end()) {
-      candidates.push_back(n);
-    }
-  };
-  for (NodeId n = 0; n < hosts_.cpu_factor.size(); ++n) consider(n);
-  for (const auto& stage : stages_) consider(stage->node());
-  for (const auto& src : spec_.sources) consider(src.location);
-  if (candidates.empty()) return std::nullopt;
-  std::sort(candidates.begin(), candidates.end());
-  // Least-loaded by live stages, ties to the lowest id — the same policy the
-  // Deployer uses.
-  NodeId best = kInvalidNode;
-  std::size_t best_load = 0;
-  for (NodeId candidate : candidates) {
-    std::size_t load = 0;
-    for (std::size_t i = 0; i < stages_.size(); ++i) {
-      if (i != stage_index && stages_[i]->node() == candidate &&
-          !stages_[i]->failed()) {
-        ++load;
-      }
-    }
-    if (best == kInvalidNode || load < best_load) {
-      best = candidate;
-      best_load = load;
-    }
-  }
-  ReplacementDecision decision;
-  decision.node = best;
-  return decision;
+  std::vector<NodeId> nodes;
+  for (const auto& stage : stages_) nodes.push_back(stage->node());
+  return least_loaded_target(
+      spec_, hosts_, nodes, [this](NodeId n) { return !node_down(n); },
+      [&](std::size_t i) { return i != stage_index && !stages_[i]->failed(); });
 }
 
 void SimEngine::try_failover(std::size_t stage_index, std::size_t report_index,

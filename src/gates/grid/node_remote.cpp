@@ -72,8 +72,8 @@ std::string NodeDeployRequest::to_xml() const {
       << "\" horizon=\"" << horizon << "\" adapt=\"" << (adapt ? 1 : 0)
       << "\" failover=\"" << (failover ? 1 : 0) << "\" retention=\""
       << retention << "\" wire-retention=\"" << wire_retention
-      << "\" max-batch=\"" << max_batch << "\" spsc=\"" << (spsc ? 1 : 0)
-      << "\" pin=\"" << (pin ? 1 : 0) << "\" idle=\"" << xml::escape(idle)
+      << "\" max-batch=\"" << max_batch << "\" pin=\"" << (pin ? 1 : 0)
+      << "\" idle=\"" << xml::escape(idle)
       << "\" control-period=\"" << control_period << "\" max-wall=\""
       << max_wall << "\" shm-ring-bytes=\"" << shm_ring_bytes
       << "\" migrate-at=\"" << migrate_at << "\" migrate-target=\""
@@ -125,11 +125,6 @@ StatusOr<NodeDeployRequest> NodeDeployRequest::parse(
     auto v = attr_int(root, "failover", 0);
     if (!v.ok()) return v.status();
     req.failover = *v != 0;
-  }
-  {
-    auto v = attr_int(root, "spsc", 1);
-    if (!v.ok()) return v.status();
-    req.spsc = *v != 0;
   }
   {
     auto v = attr_int(root, "pin", 0);
@@ -368,7 +363,6 @@ StatusOr<std::string> handle_start(DaemonState& state) {
   }
   config.max_wall_time = state.req.max_wall;
   config.batching.max_batch = state.req.max_batch;
-  config.batching.spsc = state.req.spsc;
   config.failover.enabled = state.req.failover;
   config.failover.replay_buffer_packets = state.req.retention;
   config.remote.retention_packets = state.req.wire_retention;
@@ -715,7 +709,6 @@ Status deploy_daemon(const DistributedOptions& options, std::size_t index,
   req.retention = options.retention;
   req.wire_retention = options.wire_retention;
   req.max_batch = options.max_batch;
-  req.spsc = options.spsc;
   req.pin = options.pin;
   req.idle = options.idle;
   req.control_period = options.control_period;

@@ -56,7 +56,6 @@ struct NodeDeployRequest {
   std::size_t retention = 256;        // in-process replay retention
   std::size_t wire_retention = 8192;  // per-egress-link retention ring
   std::size_t max_batch = 32;
-  bool spsc = true;
   bool pin = false;
   std::string idle;  // "" = host default, else spin|balanced|park
   double control_period = 0;  // 0 = engine default
@@ -110,7 +109,6 @@ struct DistributedOptions {
   std::size_t retention = 256;
   std::size_t wire_retention = 8192;
   std::size_t max_batch = 32;
-  bool spsc = true;
   bool pin = false;
   std::string idle;
   double control_period = 0;

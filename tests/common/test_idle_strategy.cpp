@@ -5,6 +5,13 @@
 #include <chrono>
 #include <thread>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
+#include "gates/common/affinity.hpp"
+
 namespace gates {
 namespace {
 
@@ -57,11 +64,33 @@ TEST(IdleStrategy, ParkModeYieldsThenParks) {
 TEST(IdleStrategy, ForHostIsBalancedAndDropsSpinOnSingleCore) {
   const IdleConfig config = IdleConfig::for_host();
   EXPECT_EQ(config.mode, IdleConfig::kBalanced);
-  if (std::thread::hardware_concurrency() <= 1) {
+  if (hardware_core_count() <= 1) {
     EXPECT_EQ(config.spin_limit, 0u);
   } else {
     EXPECT_GT(config.spin_limit, 0u);
   }
+}
+
+// A thread confined to one CPU (taskset -c 0, a 1-CPU cpuset) must not
+// pause-spin however many CPUs the machine has.
+TEST(IdleStrategy, ForHostDropsSpinWhenTheThreadMayUseOneCpu) {
+#if defined(__linux__)
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(saved), &saved), 0);
+  int first = -1;
+  for (int c = 0; c < CPU_SETSIZE && first < 0; ++c) {
+    if (CPU_ISSET(c, &saved)) first = c;
+  }
+  ASSERT_TRUE(pin_current_thread_to_core(first));
+  const IdleConfig config = IdleConfig::for_host();
+  // Restore before asserting, so a failure leaves the test thread's mask
+  // as it found it.
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(saved), &saved), 0);
+  EXPECT_EQ(config.spin_limit, 0u);
+#else
+  GTEST_SKIP() << "affinity masks are Linux-only";
+#endif
 }
 
 TEST(PreciseSleep, SleepsAtLeastTheRequestedDuration) {

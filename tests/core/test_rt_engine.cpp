@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numeric>
+#include <vector>
+
+#include "gates/core/sim_engine.hpp"
 
 namespace gates::core {
 namespace {
@@ -226,7 +230,6 @@ TEST(RtEngineBatching, MaxBatchOneMatchesLegacyBehavior) {
   auto b = chain(500, 1e9, 32);
   RtEngine::Config cfg;
   cfg.batching.max_batch = 1;  // per-packet handoff, as before this change
-  cfg.batching.spsc = false;   // mutex queue everywhere
   RtEngine engine(b.spec, b.placement, b.hosts, b.topology, cfg);
   ASSERT_TRUE(engine.run().is_ok());
   EXPECT_TRUE(engine.report().completed);
@@ -248,6 +251,102 @@ TEST(RtEngineBatching, SlowSourcePacingSurvivesBatching) {
   EXPECT_GT(engine.report().execution_time, 0.2);  // >= ~0.3 s nominal
   EXPECT_EQ(dynamic_cast<CountingProcessor&>(engine.processor(1)).packets_,
             60u);
+}
+
+/// Records the sequence of every packet it receives; forwards when asked.
+class SequenceRecorder : public StreamProcessor {
+ public:
+  explicit SequenceRecorder(bool forward) : forward_(forward) {}
+  void init(ProcessorContext&) override {}
+  void process(const Packet& packet, Emitter& emitter) override {
+    sequences_.push_back(packet.sequence);
+    if (forward_) emitter.emit(packet);
+  }
+  std::string name() const override { return "sequence-recorder"; }
+
+  std::vector<std::uint64_t> sequences_;
+  bool forward_;
+};
+
+/// source (node 0) -> A (node 1) -> {B (node 2), C (node 3)} over
+/// unthrottled links, so every flow crosses nodes and may take the direct
+/// path.
+Built fan_out_tree(std::uint64_t packets, std::size_t input_capacity) {
+  Built b;
+  auto stage = [&](const char* name, bool forward) {
+    StageSpec st;
+    st.name = name;
+    st.input_capacity = input_capacity;
+    st.factory = [forward] {
+      return std::make_unique<SequenceRecorder>(forward);
+    };
+    return st;
+  };
+  b.spec.stages = {stage("A", true), stage("B", false), stage("C", false)};
+  b.spec.edges = {{0, 1, 0}, {0, 2, 0}};
+  SourceSpec src;
+  src.location = 0;
+  src.rate_hz = 1e9;
+  src.total_packets = packets;
+  src.packet_bytes = 32;
+  b.spec.sources = {src};
+  b.placement.stage_nodes = {1, 2, 3};
+  b.hosts.cpu_factor = {1.0, 1.0, 1.0, 1.0};
+  net::LinkSpec link;
+  link.bandwidth = 1e12;  // unthrottled: the gate never blocks the direct path
+  b.topology.set_default_link(link);
+  return b;
+}
+
+template <typename Engine>
+std::vector<std::vector<std::uint64_t>> sink_sequences(Engine& engine) {
+  return {dynamic_cast<SequenceRecorder&>(engine.processor(1)).sequences_,
+          dynamic_cast<SequenceRecorder&>(engine.processor(2)).sequences_};
+}
+
+// Every send path the outlet has — direct ring push, staged batch, shaped
+// hand-off — with retention off and on, on both the source and the stage
+// side: each sink sees every sequence once, in order, exactly as in the
+// SimEngine run of the same spec.
+TEST(RtEngineSendPaths, EveryPathDeliversEachPacketOnceInOrder) {
+  constexpr std::uint64_t kPackets = 2000;
+  std::vector<std::uint64_t> expected(kPackets);
+  std::iota(expected.begin(), expected.end(), 0);
+  struct Case {
+    const char* name;
+    std::size_t input_capacity;
+    bool shaped;
+  };
+  const Case cases[] = {
+      {"direct", 200, false},
+      {"staged (ring full)", 2, false},
+      {"shaped", 200, true},
+  };
+  for (const Case& c : cases) {
+    for (const bool failover : {false, true}) {
+      SCOPED_TRACE(std::string(c.name) +
+                   (failover ? ", retention on" : ", retention off"));
+      Built b = fan_out_tree(kPackets, c.input_capacity);
+      RtEngine::Config cfg;
+      cfg.failover.enabled = failover;
+      RtEngine rt(b.spec, b.placement, b.hosts, b.topology, cfg);
+      if (c.shaped) {
+        rt.prepare_link_change(0, 1);  // source -> A
+        rt.prepare_link_change(1, 2);  // A -> B
+      }
+      ASSERT_TRUE(rt.run().is_ok());
+      ASSERT_TRUE(rt.report().completed);
+      const auto rt_sinks = sink_sequences(rt);
+      EXPECT_EQ(rt_sinks[0], expected);
+      EXPECT_EQ(rt_sinks[1], expected);
+
+      SimEngine::Config sim_cfg;
+      sim_cfg.failover.enabled = failover;
+      SimEngine sim(b.spec, b.placement, b.hosts, b.topology, sim_cfg);
+      ASSERT_TRUE(sim.run().is_ok());
+      EXPECT_EQ(rt_sinks, sink_sequences(sim));
+    }
+  }
 }
 
 }  // namespace

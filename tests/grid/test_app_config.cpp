@@ -112,6 +112,10 @@ struct BadConfigCase {
   const char* xml;
 };
 
+// Prints the case name, so the test names ctest discovers are the same on
+// every build (the default printer dumps the struct's pointer bytes).
+void PrintTo(const BadConfigCase& c, std::ostream* os) { *os << c.name; }
+
 class AppConfigRejects : public ::testing::TestWithParam<BadConfigCase> {};
 
 TEST_P(AppConfigRejects, MalformedConfig) {

@@ -57,6 +57,10 @@ struct BadGridCase {
   const char* xml;
 };
 
+// Prints the case name, so the test names ctest discovers are the same on
+// every build (the default printer dumps the struct's pointer bytes).
+void PrintTo(const BadGridCase& c, std::ostream* os) { *os << c.name; }
+
 class GridConfigRejects : public ::testing::TestWithParam<BadGridCase> {};
 
 TEST_P(GridConfigRejects, MalformedConfig) {

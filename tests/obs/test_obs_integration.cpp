@@ -4,13 +4,16 @@
 // param-adjust event carries the controller's dtilde input (ISSUE PR 2).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "gates/core/rt_engine.hpp"
 #include "gates/core/sim_engine.hpp"
 #include "gates/obs/metrics.hpp"
 #include "gates/obs/trace.hpp"
+#include "gates/obs/trace_context.hpp"
 
 namespace gates::core {
 namespace {
@@ -197,6 +200,54 @@ TEST(ObsIntegration, RtEngineExportsPoolMetricsAndAllocationReport) {
   EXPECT_GT(alloc.packets, 0u);
   EXPECT_EQ(alloc.pool_heap_fallback, 0u);
   EXPECT_LT(alloc.allocations_per_packet(), 0.01);
+}
+
+// With packet sampling off the RtEngine traces no per-packet events, so a
+// long run leaves room in a small buffer for every lifecycle event (crash,
+// failover and param-adjust events would otherwise be dropped once
+// per-packet spans filled it).
+TEST(ObsIntegration, RtEngineUnsampledRunTracesNoPerPacketEvents) {
+  ScopedTelemetry telemetry;
+  const std::size_t capacity = obs::TraceBuffer::global().capacity();
+  obs::TraceBuffer::global().set_capacity(4096);
+  const std::uint64_t period = obs::PacketTracer::global().sample_period();
+  obs::PacketTracer::global().set_sample_period(0);
+
+  PipelineSpec spec;
+  StageSpec a;
+  a.name = "A";
+  a.factory = [] { return std::make_unique<Relay>(); };
+  StageSpec b;
+  b.name = "B";
+  b.factory = [] { return std::make_unique<Relay>(/*forward=*/false); };
+  spec.stages = {std::move(a), std::move(b)};
+  spec.edges = {{0, 1, 0}};
+  SourceSpec src;
+  src.rate_hz = 1e9;
+  src.total_packets = 20000;
+  src.packet_bytes = 64;
+  spec.sources = {src};
+  Placement placement;
+  placement.stage_nodes = {0, 0};
+  RtEngine::Config cfg;
+  cfg.max_wall_time = 60;
+  RtEngine engine(spec, std::move(placement), {}, {}, cfg);
+  const bool ran = engine.run().is_ok();
+  const std::uint64_t dropped = obs::TraceBuffer::global().dropped();
+  std::map<std::string, int> finished;
+  for (const obs::TraceEvent& event : obs::TraceBuffer::global().events()) {
+    if (event.kind == obs::TraceKind::kStageFinished) {
+      ++finished[event.component];
+    }
+  }
+  obs::TraceBuffer::global().set_capacity(capacity);
+  obs::PacketTracer::global().set_sample_period(period);
+
+  ASSERT_TRUE(ran);
+  ASSERT_TRUE(engine.report().completed);
+  EXPECT_EQ(engine.report().stage("B")->packets_processed, 20000u);
+  EXPECT_EQ(dropped, 0u);
+  EXPECT_EQ(finished, (std::map<std::string, int>{{"A", 1}, {"B", 1}}));
 }
 
 TEST(ObsIntegration, NodeFailureEmitsDetectionAndFailoverSpan) {
