@@ -8,7 +8,13 @@
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include "gates/apps/counting_samples.hpp"
+#include "gates/common/affinity.hpp"
 #include "gates/common/arena.hpp"
 #include "gates/common/bounded_queue.hpp"
 #include "gates/common/byte_buffer.hpp"
@@ -218,6 +224,75 @@ void BM_SpscRingHandoff(benchmark::State& state) {
 }
 BENCHMARK(BM_SpscRingHandoff)->Arg(1)->Arg(8)->Arg(32);
 
+/// Pins the calling thread to `core` for the scope's lifetime and then
+/// restores its previous mask. Pinning is skipped when the affinity mask
+/// allows fewer than two CPUs or the platform refuses; pinned() says which.
+class ScopedPin {
+ public:
+  explicit ScopedPin(int core) {
+#if defined(__linux__)
+    saved_ = pthread_getaffinity_np(pthread_self(), sizeof(mask_), &mask_) == 0;
+    pinned_ = saved_ && hardware_core_count() >= 2 &&
+              pin_current_thread_to_core(core);
+#else
+    (void)core;
+#endif
+  }
+  ~ScopedPin() {
+#if defined(__linux__)
+    if (pinned_) pthread_setaffinity_np(pthread_self(), sizeof(mask_), &mask_);
+#endif
+  }
+  ScopedPin(const ScopedPin&) = delete;
+  ScopedPin& operator=(const ScopedPin&) = delete;
+  bool pinned() const { return pinned_; }
+
+ private:
+#if defined(__linux__)
+  cpu_set_t mask_{};
+  bool saved_ = false;
+#endif
+  bool pinned_ = false;
+};
+
+// StageInbox park->wake round trip: two threads ping-pong one item through
+// a pair of SPSC inboxes (push_all + consume) with IdleConfig::park(), so
+// every handoff finds the peer parked and pays its wake. One iteration is
+// a round trip, i.e. two park->wake handoffs. The threads sit on CPUs 0
+// and 1 when the affinity mask allows (counter `pinned` = 1).
+void BM_StageInboxParkWake(benchmark::State& state) {
+  core::StageInbox<int> ping(64);
+  core::StageInbox<int> pong(64);
+  for (core::StageInbox<int>* inbox : {&ping, &pong}) {
+    inbox->use_spsc();
+    inbox->set_idle(IdleConfig::park());
+  }
+  std::atomic<bool> echo_pinned{false};
+  std::thread echo([&] {
+    ScopedPin pin(1);
+    echo_pinned.store(pin.pinned(), std::memory_order_relaxed);
+    std::vector<int> out;
+    while (ping.consume([&](int& v) { out.push_back(v); }, 1) != 0) {
+      pong.push_all(out);
+    }
+  });
+  ScopedPin pin(0);
+  std::vector<int> in;
+  int got = 0;
+  for (auto _ : state) {
+    in.assign(1, 1);
+    ping.push_all(in);
+    pong.consume([&](int& v) { got += v; }, 1);
+  }
+  ping.close();
+  echo.join();
+  benchmark::DoNotOptimize(got);
+  state.counters["pinned"] =
+      pin.pinned() && echo_pinned.load(std::memory_order_relaxed) ? 1 : 0;
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StageInboxParkWake)->UseRealTime();
+
 // Fan-out cost per downstream route: COW payload copies are refcount bumps,
 // independent of payload size — compare Arg(64) with Arg(4096).
 void BM_PacketFanoutCopy(benchmark::State& state) {
@@ -251,18 +326,15 @@ void BM_ReorderMerge(benchmark::State& state) {
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < completers; ++i) {
     threads.emplace_back([&, i] {
-      std::vector<std::uint64_t> batch;
-      while (true) {
-        batch.clear();
-        if (inboxes[i]->drain(batch, 16) == 0) return;
-        for (const std::uint64_t seq : batch) {
-          merge.complete(seq, static_cast<int>(seq));
-          while (merge.claim_release()) {
-            while (merge.pop_ready()) {
-            }
-            merge.end_release();
+      auto complete = [&](std::uint64_t& seq) {
+        merge.complete(seq, static_cast<int>(seq));
+        while (merge.claim_release()) {
+          while (merge.pop_ready()) {
           }
+          merge.end_release();
         }
+      };
+      while (inboxes[i]->consume(complete, 16) != 0) {
       }
     });
   }

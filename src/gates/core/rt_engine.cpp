@@ -267,6 +267,15 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     Duration service = 0;
     /// Set once the batch head gave its latency sample.
     bool latency_sampled = false;
+    /// Profiler on: the batch's one clock read (taken at its first item)
+    /// and the summed queue residency of its stamped items.
+    TimePoint consumed_at = 0;
+    Duration inbox_wait = 0;
+  };
+  /// One processed input awaiting its exact ack (see ack_grouped).
+  struct PendingAck {
+    ReplayChannel* origin;
+    std::uint64_t seq;
   };
 
   // -- replica pool types (parallelism != kSerial) ----------------------------
@@ -432,7 +441,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
   }
   void set_eos_expected(std::size_t n) { eos_expected_ = n; }
   /// Turns this stage into a remote outlet (engine setup, before start()):
-  /// drained input is framed onto `link` instead of being processed. The
+  /// consumed input is framed onto `link` instead of being processed. The
   /// stage's processor is never invoked.
   void set_remote_egress(std::shared_ptr<net::RemoteLink> link) {
     remote_egress_ = std::move(link);
@@ -512,6 +521,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     queue_.reopen();
     params_.clear();
     controllers_.clear();
+    pending_acks_.clear();  // the dead worker's unflushed batch
     ++recoveries_;
     if (!pooled()) {
       processor_ = factory ? factory() : spec_.factory();
@@ -528,7 +538,6 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
       merge_->reset();
       next_seq_ = 0;
       rr_next_ = 0;
-      pending_acks_.clear();
       for (Outlet& route : routes_) route.discard();
       emitted_pending_ = 0;
       dropped_pending_ = 0;
@@ -953,21 +962,15 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
   }
 
  private:
-  /// Flushes staged emissions, then acks the batch of processed inputs —
-  /// in that order, so an input is never released from upstream retention
-  /// before the outputs derived from it are durably downstream
-  /// (at-least-once across a crash between the two steps).
-  void flush_batch_effects(std::vector<FlowItem>& batch, std::size_t upto) {
-    flush_emits();
-    ack_grouped(batch, upto);
-  }
-
-  /// Exact acks for the first `n` entries (anything with an origin channel
-  /// and a seq), grouped per origin: one retention lock per distinct
-  /// channel. Ack/retention attribution brackets only this section; the
-  /// emit flush before it is charged to the gates/shapers it waits on.
-  template <typename T>
-  void ack_grouped(std::vector<T>& entries, std::size_t n) {
+  /// Exact acks for `entries`, grouped per origin: one retention lock per
+  /// distinct channel; leaves `entries` empty. Callers flush their outputs
+  /// first, so an input is never released from upstream retention before
+  /// the outputs derived from it are durably downstream (at-least-once
+  /// across a crash between the two steps). Ack/retention attribution
+  /// brackets only this section; the emit flush before it is charged to
+  /// the gates/shapers it waits on.
+  void ack_grouped(std::vector<PendingAck>& entries) {
+    const std::size_t n = entries.size();
     const bool timed = profile_ != nullptr && n != 0;
     const TimePoint ack_start = timed ? clock_.now() : 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -982,6 +985,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
       }
       origin->ack_batch(ack_seqs_);
     }
+    entries.clear();
     if (timed) {
       profile_->add(obs::Phase::kAckRetention, clock_.now() - ack_start);
     }
@@ -1045,53 +1049,36 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
       bytes_processed_.fetch_add(tally.bytes, std::memory_order_relaxed);
     }
     if (profile_ != nullptr) {
+      profile_->add(obs::Phase::kInboxWait, tally.inbox_wait);
       profile_->add(obs::Phase::kService, tally.service);
       profile_->add_packets(tally.packets);
     }
   }
 
-  /// One inbox drain into `batch`. With failover on it is timed, so the
-  /// heartbeat advances even while idle (an idle beat returns 0 with the
-  /// inbox still open).
-  std::size_t drain_inbox(std::vector<FlowItem>& batch) {
-    batch.clear();
-    if (!engine_.config_.failover.enabled) {
-      return queue_.drain(batch, max_batch_);
+  /// Profiler on: charges one consumed item's queue residency (push ->
+  /// consume) to the batch's inbox-wait, with one clock read per batch.
+  /// Items without a stamp (EOS, aux-channel injections) are skipped.
+  void charge_inbox_wait(TimePoint queued_at, Tally& tally) {
+    if (profile_ == nullptr) return;
+    if (tally.consumed_at == 0) tally.consumed_at = clock_.now();
+    if (queued_at > 0 && tally.consumed_at > queued_at) {
+      tally.inbox_wait += tally.consumed_at - queued_at;
     }
-    last_beat_.store(clock_.now(), std::memory_order_release);
-    return queue_.drain_for(batch, max_batch_,
-                            engine_.config_.failover.heartbeat_period);
   }
 
-  /// Charges each drained item's queue residency (push -> drain) to
-  /// inbox-wait: one clock read per batch. Items without a stamp (EOS,
-  /// aux-channel injections, observability off) are skipped.
-  template <typename T>
-  void profile_inbox_wait(const std::vector<T>& batch, std::size_t n) {
-    if (profile_ == nullptr || n == 0) return;
-    const TimePoint now = clock_.now();
-    Duration wait = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (batch[i].queued_at > 0 && now > batch[i].queued_at) {
-        wait += now - batch[i].queued_at;
-      }
-    }
-    profile_->add(obs::Phase::kInboxWait, wait);
-  }
-
+  /// The serial stage loop, for every failover, profiler and inbox-mode
+  /// setting: each consumed batch is serviced in place (in the ring slots
+  /// on an SPSC inbox), then its counters are published, its outputs
+  /// flushed and only then its inputs acked. With failover on the consume
+  /// is timed, so the heartbeat advances even while idle (an idle beat
+  /// returns 0 with the inbox still open).
   void run_loop() {
     if (!pin_cores_.empty()) pin_current_thread_to_core(pin_cores_[0]);
     if (remote_egress_) return run_loop_remote_egress();
     if (pooled()) return run_loop_pooled();
     const bool failover = engine_.config_.failover.enabled;
-    // Serial SPSC stages with no failover (no heartbeat polling, no acks)
-    // and no profiler take the in-place loop: packets are serviced directly
-    // in the ring slots instead of being moved into a batch vector first.
-    if (!failover && queue_.spsc() && profile_ == nullptr) {
-      return run_loop_fast();
-    }
-    std::vector<FlowItem> batch;
-    batch.reserve(max_batch_);
+    const double wait =
+        failover ? engine_.config_.failover.heartbeat_period : -1.0;
     bool stop_after_flush = false;
     while (!stop_after_flush) {
       // Migration quiesce: the previous batch's effects are flushed and
@@ -1101,34 +1088,39 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
         quiesced_.store(true, std::memory_order_release);
         return;
       }
-      const std::size_t n = drain_inbox(batch);
+      if (failover) last_beat_.store(clock_.now(), std::memory_order_release);
+      Tally tally;
+      const std::size_t n = queue_.consume(
+          [&](FlowItem& item) {
+            // Tail items after a terminal EOS (or a crash) are dropped
+            // unacked; upstream retention still holds them.
+            if (stop_after_flush || crashed_.load(std::memory_order_acquire)) {
+              return;
+            }
+            charge_inbox_wait(item.queued_at, tally);
+            Packet& packet = item.packet;
+            if (!service_one(packet, item.queued_at, busy_time_, tally)) return;
+            if (item.origin != nullptr) {
+              pending_acks_.push_back({item.origin, item.seq});
+            }
+            if (!packet.is_eos()) {
+              processor_->process(packet, *this);
+            } else if (eos_received_ >= eos_expected_) {
+              stop_after_flush = true;
+            }
+          },
+          max_batch_, wait);
       // Crash-stop: exit without flushing, acking, or sending EOS. Batched
       // effects not yet flushed are simply dropped; upstream retention
       // still holds every unacked input, so nothing is lost.
       if (crashed_.load(std::memory_order_acquire)) return;
       if (n == 0) {
-        if (failover && !queue_.closed()) continue;  // idle beat
-        break;  // closed and drained (EOS logic below) or force-stopped
-      }
-      profile_inbox_wait(batch, n);
-      Tally tally;
-      std::size_t processed_upto = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        Packet& packet = batch[i].packet;
-        if (!service_one(packet, batch[i].queued_at, busy_time_, tally)) {
-          return;
-        }
-        processed_upto = i + 1;
-        if (!packet.is_eos()) {
-          processor_->process(packet, *this);
-        } else if (eos_received_ >= eos_expected_) {
-          stop_after_flush = true;
-          break;
-        }
+        if (queue_.closed()) break;  // closed and drained, or force-stopped
+        continue;                    // idle beat
       }
       publish_tally(tally);
-      // Outputs first, then acks (see flush_batch_effects).
-      flush_batch_effects(batch, processed_upto);
+      flush_emits();
+      ack_grouped(pending_acks_);
     }
     // Either all upstreams ended or the queue was force-closed; flush.
     processor_->finish(*this);
@@ -1136,7 +1128,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     finish_stage();
   }
 
-  /// Remote outlet: the stage's drained input is framed and sent over the
+  /// Remote outlet: the stage's consumed input is framed and sent over the
   /// egress link instead of being processed (the processor is never
   /// invoked). Every outgoing packet is retained in a local RetentionRing
   /// keyed by its wire seq; the peer acks exactly what its downstream
@@ -1150,8 +1142,6 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     net::RemoteLink& link = *remote_egress_;
     const bool failover = engine_.config_.failover.enabled;
     RetentionRing ring(engine_.config_.remote.retention_packets);
-    std::vector<FlowItem> batch;
-    batch.reserve(max_batch_);
     std::vector<net::wire::WirePacket> wps;
     wps.reserve(max_batch_);
 
@@ -1232,41 +1222,44 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
 
     bool link_ok = true;
     bool eos_done = false;
-    while (true) {
+    while (!eos_done) {
       last_beat_.store(clock_.now(), std::memory_order_release);
-      batch.clear();
-      const std::size_t n = queue_.drain_for(batch, max_batch_, 0.0005);
-      if (crashed_.load(std::memory_order_acquire)) return;
+      // Acks first, so the retains below see the freshest ring window.
       if (link_ok) {
         if (Status s = drain_acks(0); !s.is_ok()) {
           link_ok = fail("ack drain failed", s);
         }
       }
+      wps.clear();
+      Tally tally;
+      const std::size_t n = queue_.consume(
+          [&](FlowItem& item) {
+            charge_inbox_wait(item.queued_at, tally);
+            if (item.origin != nullptr) {
+              pending_acks_.push_back({item.origin, item.seq});
+            }
+            Packet& p = item.packet;
+            if (p.is_eos()) {
+              // Collapse the per-upstream fan-in: one EOS crosses the wire.
+              if (++eos_received_ >= eos_expected_) eos_done = true;
+              return;
+            }
+            net::wire::WirePacket wp;
+            wp.seq = ring.retain(p);  // retains a payload alias, not a copy
+            wp.stream = p.stream;
+            wp.kind = p.kind;
+            wp.records = static_cast<std::uint32_t>(p.records);
+            wp.payload = std::move(p.payload);
+            ++tally.packets;
+            tally.records += wp.records;
+            tally.bytes += wp.payload.size();
+            wps.push_back(std::move(wp));
+          },
+          max_batch_, 0.0005);
+      if (crashed_.load(std::memory_order_acquire)) return;
       if (n == 0) {
         if (queue_.closed()) break;  // force-stopped
         continue;
-      }
-      profile_inbox_wait(batch, n);
-      const TimePoint t0 = profile_ != nullptr ? clock_.now() : 0;
-      wps.clear();
-      Tally tally;
-      for (std::size_t i = 0; i < n; ++i) {
-        Packet& p = batch[i].packet;
-        if (p.is_eos()) {
-          // Collapse the per-upstream fan-in: one EOS crosses the wire.
-          if (++eos_received_ >= eos_expected_) eos_done = true;
-          continue;
-        }
-        net::wire::WirePacket wp;
-        wp.seq = ring.retain(p);  // retains a payload alias, not a copy
-        wp.stream = p.stream;
-        wp.kind = p.kind;
-        wp.records = static_cast<std::uint32_t>(p.records);
-        wp.payload = std::move(p.payload);
-        ++tally.packets;
-        tally.records += wp.records;
-        tally.bytes += wp.payload.size();
-        wps.push_back(std::move(wp));
       }
       if (!wps.empty() && link_ok) {
         if (Status s = link.send_data(wps); !s.is_ok()) {
@@ -1274,15 +1267,13 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
         }
       }
       if (profile_ != nullptr) {
-        profile_->add(obs::Phase::kSerialize, clock_.now() - t0);
+        profile_->add(obs::Phase::kSerialize, clock_.now() - tally.consumed_at);
       }
       publish_tally(tally);
       // Local acks release upstream retention in this process — after the
-      // outputs were durably handed to the transport, mirroring the
-      // outputs-before-acks order of flush_batch_effects (flush_emits is a
-      // no-op here: an egress stage has no routes).
-      flush_batch_effects(batch, n);
-      if (eos_done) break;
+      // outputs were durably handed to the transport (an egress stage has
+      // no routes, so there is nothing else to flush first).
+      ack_grouped(pending_acks_);
     }
     if (eos_done && link_ok) {
       Packet eos = Packet::eos(0, clock_.now());
@@ -1317,46 +1308,9 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     finish_stage();  // no routes: only marks the stage finished
   }
 
-  /// In-place variant of the serial run_loop (failover off, SPSC inbox,
-  /// profiler off — see the dispatch in run_loop): StageInbox::consume
-  /// services each packet in its ring slot, so the per-hop batch-vector
-  /// move disappears. Without failover no ReplayChannel exists, so the ack
-  /// machinery (flush_batch_effects) reduces to flush_emits(). The
-  /// per-packet step is run_loop's own service_one, so EOS counting, hop
-  /// traces, counters, latency sampling and crash-stop match it.
-  void run_loop_fast() {
-    bool stop_after_flush = false;
-    bool exit_now = false;
-    while (!stop_after_flush && !exit_now) {
-      Tally tally;
-      const std::size_t n = queue_.consume(
-          [&](FlowItem& item) {
-            // Tail items after a terminal EOS (or a crash) are dropped,
-            // mirroring run_loop's mid-batch break.
-            if (stop_after_flush || exit_now) return;
-            Packet& packet = item.packet;
-            if (!service_one(packet, item.queued_at, busy_time_, tally)) {
-              exit_now = true;
-            } else if (!packet.is_eos()) {
-              processor_->process(packet, *this);
-            } else if (eos_received_ >= eos_expected_) {
-              stop_after_flush = true;
-            }
-          },
-          max_batch_);
-      if (exit_now || crashed_.load(std::memory_order_acquire)) return;
-      publish_tally(tally);
-      flush_emits();
-      if (n == 0) break;  // closed and drained, or force-stopped
-    }
-    processor_->finish(*this);
-    flush_emits();
-    finish_stage();
-  }
-
   // -- replica pool data plane ------------------------------------------------
   /// Dispatcher thread body (parallelism != serial). The stage's own thread
-  /// drains the inbox exactly like the serial loop (same heartbeat, same
+  /// consumes the inbox exactly like the serial loop (same heartbeat, same
   /// EOS counting), but instead of servicing packets it stamps each with a
   /// dense merge sequence and hands it to a replica — round-robin when
   /// stateless, shard_fn(packet) % active when keyed. EOS and finish() run
@@ -1364,69 +1318,69 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
   /// indistinguishable from the serial path as seen from downstream.
   void run_loop_pooled() {
     const bool failover = engine_.config_.failover.enabled;
+    const double wait =
+        failover ? engine_.config_.failover.heartbeat_period : -1.0;
     const bool keyed = spec_.parallelism.mode == ParallelismMode::kKeyed;
-    std::vector<FlowItem> batch;
-    batch.reserve(max_batch_);
-    while (true) {
+    bool terminal = false;
+    while (!terminal) {
       // Migration quiesce at the dispatch boundary: drain the pool to its
       // merge barrier and park (see quiesce_pool).
       if (quiesce_requested_.load(std::memory_order_acquire)) {
         return quiesce_pool();
       }
       apply_scale();
-      const std::size_t n = drain_inbox(batch);
+      if (failover) last_beat_.store(clock_.now(), std::memory_order_release);
+      const std::size_t n = queue_.consume(
+          [&](FlowItem& item) {
+            if (terminal || crashed_.load(std::memory_order_acquire)) return;
+            const std::uint64_t mseq = next_seq_++;
+            if (!merge_->acquire(mseq)) return;  // closed: crashed meanwhile
+            if (item.packet.is_eos()) {
+              // The dispatcher completes EOS itself: it carries no service
+              // work, only ack bookkeeping, and must hold its arrival-order
+              // slot so acks stay ordered behind the data that preceded it.
+              Completion c;
+              c.origin = item.origin;
+              c.ack_seq = item.seq;
+              merge_->complete(mseq, std::move(c));
+              if (++eos_received_ >= eos_expected_) terminal = true;
+              return;
+            }
+            const std::size_t active =
+                active_replicas_.load(std::memory_order_relaxed);
+            std::size_t r;
+            if (keyed) {
+              r = static_cast<std::size_t>(
+                  spec_.parallelism.shard_fn(item.packet) % active);
+            } else {
+              r = rr_next_;
+              rr_next_ = (rr_next_ + 1) % active;
+            }
+            PoolItem pi;
+            pi.packet = std::move(item.packet);
+            pi.origin = item.origin;
+            pi.ack_seq = item.seq;
+            pi.merge_seq = mseq;
+            // Keep the original push stamp: the replica charges inbox +
+            // replica-queue residency to inbox-wait in one measurement.
+            pi.queued_at = item.queued_at;
+            if (!replicas_[r]->queue->push(std::move(pi)) &&
+                !crashed_.load(std::memory_order_acquire)) {
+              merge_->complete(mseq, Completion{});  // keep the window moving
+            }
+          },
+          max_batch_, wait);
       if (crashed_.load(std::memory_order_acquire)) return close_pool();
       if (n == 0) {
-        if (failover && !queue_.closed()) continue;  // idle beat
-        break;  // force-stopped: wind down like the serial epilogue
-      }
-      bool terminal = false;
-      for (std::size_t i = 0; i < n && !terminal; ++i) {
-        FlowItem& item = batch[i];
-        if (crashed_.load(std::memory_order_acquire)) return close_pool();
-        const std::uint64_t mseq = next_seq_++;
-        if (!merge_->acquire(mseq)) return close_pool();
-        if (item.packet.is_eos()) {
-          // The dispatcher completes EOS itself: it carries no service work,
-          // only ack bookkeeping, and must hold its arrival-order slot so
-          // acks stay ordered behind the data that preceded it.
-          Completion c;
-          c.origin = item.origin;
-          c.ack_seq = item.seq;
-          merge_->complete(mseq, std::move(c));
-          if (++eos_received_ >= eos_expected_) terminal = true;
-          continue;
-        }
-        const std::size_t active =
-            active_replicas_.load(std::memory_order_relaxed);
-        std::size_t r;
-        if (keyed) {
-          r = static_cast<std::size_t>(
-              spec_.parallelism.shard_fn(item.packet) % active);
-        } else {
-          r = rr_next_;
-          rr_next_ = (rr_next_ + 1) % active;
-        }
-        PoolItem pi;
-        pi.packet = std::move(item.packet);
-        pi.origin = item.origin;
-        pi.ack_seq = item.seq;
-        pi.merge_seq = mseq;
-        // Keep the original push stamp: the replica charges inbox +
-        // replica-queue residency to inbox-wait in one measurement.
-        pi.queued_at = item.queued_at;
-        if (!replicas_[r]->queue->push(std::move(pi))) {
-          if (crashed_.load(std::memory_order_acquire)) return close_pool();
-          merge_->complete(mseq, Completion{});  // keep the window moving
-        }
+        if (queue_.closed()) break;  // force-stopped: wind down like serial
+        continue;                    // idle beat
       }
       release_pass();
-      if (terminal) break;
     }
     wind_down_pool();
   }
 
-  /// Replica worker body: drain the private queue, pay the service time,
+  /// Replica worker body: consume the private queue, pay the service time,
   /// run the processor with emissions captured, and deposit the result in
   /// the merge window. Whoever completes the window head releases (below).
   void replica_loop(std::size_t r) {
@@ -1434,38 +1388,36 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     if (!pin_cores_.empty()) {
       pin_current_thread_to_core(pin_cores_[(r + 1) % pin_cores_.size()]);
     }
-    std::vector<PoolItem> batch;
-    batch.reserve(max_batch_);
     while (true) {
-      batch.clear();
-      const std::size_t n = rep.queue->drain(batch, max_batch_);
-      if (n == 0) return;  // closed and drained: retired or winding down
-      profile_inbox_wait(batch, n);
       Tally tally;
       // Pool latency is sampled by the releaser, in arrival order.
       tally.latency_sampled = true;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (crashed_.load(std::memory_order_acquire)) return;
-        PoolItem& item = batch[i];
-        Completion c;
-        c.origin = item.origin;
-        c.ack_seq = item.ack_seq;
-        CaptureEmitter capture(c.emissions);
-        if (item.finish_marker) {
-          rep.processor->finish(capture);
-          c.is_final = item.is_final;
-        } else {
-          // No inbox-wait hop: a pooled stage's queueing spans the
-          // dispatcher, and profile_inbox_wait above already charges it.
-          if (!service_one(item.packet, 0, rep.busy_time, tally)) return;
-          c.created_at = item.packet.created_at;
-          c.has_data = true;
-          rep.processor->process(item.packet, capture);
-        }
-        if (profile_ != nullptr) c.completed_at = clock_.now();
-        merge_->complete(item.merge_seq, std::move(c));
-        release_pass();
-      }
+      const std::size_t n = rep.queue->consume(
+          [&](PoolItem& item) {
+            if (crashed_.load(std::memory_order_acquire)) return;
+            charge_inbox_wait(item.queued_at, tally);
+            Completion c;
+            c.origin = item.origin;
+            c.ack_seq = item.ack_seq;
+            CaptureEmitter capture(c.emissions);
+            if (item.finish_marker) {
+              rep.processor->finish(capture);
+              c.is_final = item.is_final;
+            } else {
+              // No inbox-wait hop: a pooled stage's queueing spans the
+              // dispatcher, and charge_inbox_wait above already covers it.
+              if (!service_one(item.packet, 0, rep.busy_time, tally)) return;
+              c.created_at = item.packet.created_at;
+              c.has_data = true;
+              rep.processor->process(item.packet, capture);
+            }
+            if (profile_ != nullptr) c.completed_at = clock_.now();
+            merge_->complete(item.merge_seq, std::move(c));
+            release_pass();
+          },
+          max_batch_);
+      // Closed and drained (retired or winding down), or crashed.
+      if (n == 0 || crashed_.load(std::memory_order_acquire)) return;
       publish_tally(tally);
       rep.packets.fetch_add(tally.packets, std::memory_order_relaxed);
     }
@@ -1474,7 +1426,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
   /// Release election (see ReorderMerge): whoever completed the window head
   /// drains every contiguous ready completion, stages its emissions through
   /// the normal route batching, flushes, then acks the released inputs —
-  /// outputs-before-acks, exactly like the serial flush_batch_effects. The
+  /// outputs-before-acks, exactly like the serial loop. The
   /// merge mutex hands the releaser role (and the non-atomic staging state
   /// it touches) between threads with a happens-before edge.
   void release_pass() {
@@ -1505,8 +1457,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
         profile_->add(obs::Phase::kMergeHold, held);
       }
       flush_emits();
-      ack_grouped(pending_acks_, pending_acks_.size());
-      pending_acks_.clear();
+      ack_grouped(pending_acks_);
       if (final_seen) finish_stage();
       merge_->end_release();
     }
@@ -1602,7 +1553,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
   const StageSpec& spec_;
   NodeId node_;
   double cpu_factor_;
-  /// Packets per drain (Batching::max_batch, at least one).
+  /// Packets per consume (Batching::max_batch, at least one).
   const std::size_t max_batch_;
   std::unique_ptr<StreamProcessor> processor_;
   StageInbox<FlowItem> queue_;
@@ -1675,11 +1626,9 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
   std::size_t max_replicas_used_ = 1;  // dispatcher thread; read after join
   std::uint64_t next_seq_ = 0;         // dispatcher thread only
   std::size_t rr_next_ = 0;            // dispatcher thread only
-  /// Releaser-only (handed between threads by the merge mutex).
-  struct PendingAck {
-    ReplayChannel* origin;
-    std::uint64_t seq;
-  };
+  /// Acks of the inputs behind the outputs not yet flushed: the serial and
+  /// egress loops fill it per batch, a pool's releaser per release pass
+  /// (handed between threads by the merge mutex).
   std::vector<PendingAck> pending_acks_;
   std::unique_ptr<adapt::ReplicaScaler> scaler_;         // control thread only
   std::unique_ptr<AdjustmentParameter> replicas_param_;  // control thread only

@@ -1,7 +1,7 @@
 // Stage input buffer for the real-time engine.
 //
 // Two interchangeable implementations behind one blocking, batch-oriented
-// interface:
+// interface; the consumer reads both through one call, consume():
 //
 //  - mutex mode (default): a BoundedQueue. Correct for any number of
 //    producers — fan-in stages, and any stage when simplicity wins.
@@ -13,8 +13,9 @@
 // Control-plane producers — failover replay re-injection and EOS-on-behalf,
 // which run on the control thread and would violate the ring's single-
 // producer invariant — go through push_aux(), a small mutex-guarded side
-// queue the consumer folds into its drains. It is intentionally unbounded:
-// its occupancy is bounded externally by the replay retention depth.
+// queue that consume() hands to the consumer after the ring items. It is
+// intentionally unbounded: its occupancy is bounded externally by the
+// replay retention depth.
 //
 // Sleep/wake protocol (SPSC mode): pushes and pops are lock-free; a side
 // that finds the ring full (producer) or empty (consumer) first runs its
@@ -143,57 +144,62 @@ class StageInbox {
 
   // -- consumer side (single worker thread) ----------------------------------
 
-  /// Moves up to `max` items into `out`, blocking until at least one is
-  /// available or the inbox is closed and drained (returns 0).
-  std::size_t drain(std::vector<T>& out, std::size_t max) {
-    if (ring_ == nullptr) return queue_.drain(out, max);
-    return drain_spsc(out, max, -1.0);
-  }
-
-  /// As drain(), but waits at most `timeout_seconds`; 0 on timeout too
-  /// (check closed() to distinguish, as with BoundedQueue::pop_for).
-  std::size_t drain_for(std::vector<T>& out, std::size_t max,
-                        double timeout_seconds) {
-    if (ring_ == nullptr) return queue_.drain_for(out, max, timeout_seconds);
-    return drain_spsc(out, max, timeout_seconds);
-  }
-
-  /// In-place drain (SPSC mode only): applies `f` to up to `max` items
-  /// directly in the ring slots — no move into a batch vector — blocking
-  /// like drain() until at least one item is handled or the inbox is closed
-  /// and empty (returns 0). Aux-channel items are pulled into a scratch
-  /// buffer and handed to `f` outside the aux lock, so `f` may block (emit
-  /// downstream) without stalling control-plane producers.
+  /// Applies `f` to up to `max` items in FIFO order and returns how many it
+  /// handled. SPSC mode calls `f` directly on the ring slots (no move into a
+  /// batch vector); mutex mode and aux items go through a consumer-owned
+  /// scratch vector, filled under the lock and handed to `f` outside it, so
+  /// `f` may block (emit downstream) without stalling producers. Blocks
+  /// until at least one item is handled or the inbox is closed and empty
+  /// (returns 0). `timeout_seconds < 0` spins/yields per the idle mode and
+  /// then parks untimed; `>= 0` skips the spin (failover beats and egress
+  /// polls bound latency by the timeout anyway) and parks at most that
+  /// long, returning 0 on timeout too (check closed() to tell them apart).
   template <typename F>
-  std::size_t consume(F&& f, std::size_t max) {
-    GATES_CHECK(ring_ != nullptr);
+  std::size_t consume(F&& f, std::size_t max, double timeout_seconds = -1.0) {
+    if (ring_ == nullptr) {
+      const std::size_t n =
+          timeout_seconds < 0
+              ? queue_.drain(scratch_, max)
+              : queue_.drain_for(scratch_, max, timeout_seconds);
+      for (T& item : scratch_) f(item);
+      scratch_.clear();
+      return n;
+    }
     std::size_t n = take_in_place(f, max);
     if (n != 0) {
       wake(producer_waiting_, not_full_);
       return n;
     }
-    IdleStrategy idle(idle_);
-    while (!idle.should_park()) {
-      n = take_in_place(f, max);
-      if (n != 0) {
-        wake(producer_waiting_, not_full_);
-        return n;
+    if (timeout_seconds < 0) {
+      IdleStrategy idle(idle_);
+      while (!idle.should_park()) {
+        n = take_in_place(f, max);
+        if (n != 0) {
+          wake(producer_waiting_, not_full_);
+          return n;
+        }
+        if (closed_.load(std::memory_order_acquire)) return 0;
       }
-      if (closed_.load(std::memory_order_acquire)) return 0;
     }
     {
       std::unique_lock<std::mutex> lock(sleep_mu_);
       consumer_waiting_.store(true, std::memory_order_relaxed);
       std::atomic_thread_fence(std::memory_order_seq_cst);
-      // Unlike drain_spsc the predicate only peeks at sizes: `f` must not
-      // run under sleep_mu_ (it may park on a downstream inbox). Items seen
-      // by the predicate can only be removed by this thread, so the
-      // post-unlock take below cannot come up empty unless we closed.
-      not_empty_.wait(lock, [&] {
+      // The predicate only peeks at sizes: `f` must not run under sleep_mu_
+      // (it may park on a downstream inbox). Items seen by the predicate
+      // can only be removed by this thread, so the post-unlock take below
+      // comes up empty only on close or timeout.
+      auto ready = [&] {
         return !ring_->empty() ||
                aux_size_.load(std::memory_order_acquire) != 0 ||
                closed_.load(std::memory_order_acquire);
-      });
+      };
+      if (timeout_seconds < 0) {
+        not_empty_.wait(lock, ready);
+      } else {
+        not_empty_.wait_for(
+            lock, std::chrono::duration<double>(timeout_seconds), ready);
+      }
       consumer_waiting_.store(false, std::memory_order_relaxed);
     }
     n = take_in_place(f, max);
@@ -250,78 +256,23 @@ class StageInbox {
   }
 
  private:
-  /// Lock-free grab from ring then aux; returns how many landed in `out`.
-  std::size_t take(std::vector<T>& out, std::size_t max) {
-    std::size_t n = ring_->try_pop_n(out, max);
-    if (n < max && aux_size_.load(std::memory_order_acquire) != 0) {
-      std::lock_guard<std::mutex> lock(aux_mu_);
-      while (n < max && !aux_.empty()) {
-        out.push_back(std::move(aux_.front()));
-        aux_.pop_front();
-        ++n;
-      }
-      aux_size_.store(aux_.size(), std::memory_order_release);
-    }
-    return n;
-  }
-
   /// consume()'s lock-free grab: ring items in place, then aux via scratch.
   template <typename F>
   std::size_t take_in_place(F& f, std::size_t max) {
     std::size_t n = ring_->consume_n(f, max);
     if (n < max && aux_size_.load(std::memory_order_acquire) != 0) {
-      aux_scratch_.clear();
       {
         std::lock_guard<std::mutex> lock(aux_mu_);
-        while (n + aux_scratch_.size() < max && !aux_.empty()) {
-          aux_scratch_.push_back(std::move(aux_.front()));
+        while (n + scratch_.size() < max && !aux_.empty()) {
+          scratch_.push_back(std::move(aux_.front()));
           aux_.pop_front();
         }
         aux_size_.store(aux_.size(), std::memory_order_release);
       }
-      for (T& item : aux_scratch_) f(item);
-      n += aux_scratch_.size();
-      aux_scratch_.clear();
+      for (T& item : scratch_) f(item);
+      n += scratch_.size();
+      scratch_.clear();
     }
-    return n;
-  }
-
-  std::size_t drain_spsc(std::vector<T>& out, std::size_t max,
-                         double timeout_seconds) {
-    std::size_t n = take(out, max);
-    if (n != 0) {
-      wake(producer_waiting_, not_full_);
-      return n;
-    }
-    // Spin/yield phase before parking. Skipped for timed drains: those are
-    // failover-beat polls where latency is bounded by the timeout anyway.
-    if (timeout_seconds < 0) {
-      IdleStrategy idle(idle_);
-      while (!idle.should_park()) {
-        n = take(out, max);
-        if (n != 0) {
-          wake(producer_waiting_, not_full_);
-          return n;
-        }
-        if (closed_.load(std::memory_order_acquire)) return 0;
-      }
-    }
-    std::unique_lock<std::mutex> lock(sleep_mu_);
-    consumer_waiting_.store(true, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    auto ready = [&] {
-      n = take(out, max);
-      return n != 0 || closed_.load(std::memory_order_acquire);
-    };
-    if (timeout_seconds < 0) {
-      not_empty_.wait(lock, ready);
-    } else {
-      not_empty_.wait_for(
-          lock, std::chrono::duration<double>(timeout_seconds), ready);
-    }
-    consumer_waiting_.store(false, std::memory_order_relaxed);
-    lock.unlock();
-    if (n != 0) wake(producer_waiting_, not_full_);
     return n;
   }
 
@@ -353,8 +304,8 @@ class StageInbox {
   mutable std::mutex aux_mu_;
   std::deque<T> aux_;
   std::atomic<std::size_t> aux_size_{0};
-  /// Consumer-thread scratch for consume()'s aux hand-off.
-  std::vector<T> aux_scratch_;
+  /// Consumer-thread scratch: consume()'s mutex-mode batch and aux hand-off.
+  std::vector<T> scratch_;
 };
 
 static_assert(alignof(StageInbox<int>) == detail::kCacheLine,

@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <numeric>
 #include <vector>
 
 #include "gates/core/sim_engine.hpp"
+#include "gates/obs/profiler.hpp"
 
 namespace gates::core {
 namespace {
@@ -253,25 +255,28 @@ TEST(RtEngineBatching, SlowSourcePacingSurvivesBatching) {
             60u);
 }
 
-/// Records the sequence of every packet it receives; forwards when asked.
+/// Records the sequence of every packet it receives, per stream; forwards
+/// when asked.
 class SequenceRecorder : public StreamProcessor {
  public:
   explicit SequenceRecorder(bool forward) : forward_(forward) {}
   void init(ProcessorContext&) override {}
   void process(const Packet& packet, Emitter& emitter) override {
-    sequences_.push_back(packet.sequence);
+    sequences_[packet.stream].push_back(packet.sequence);
     if (forward_) emitter.emit(packet);
   }
   std::string name() const override { return "sequence-recorder"; }
 
-  std::vector<std::uint64_t> sequences_;
+  std::map<StreamId, std::vector<std::uint64_t>> sequences_;
   bool forward_;
 };
 
 /// source (node 0) -> A (node 1) -> {B (node 2), C (node 3)} over
 /// unthrottled links, so every flow crosses nodes and may take the direct
-/// path.
-Built fan_out_tree(std::uint64_t packets, std::size_t input_capacity) {
+/// path. `fan_in` adds a second source (stream 1, node 0) into A, so A has
+/// two producers and reads a mutex inbox.
+Built fan_out_tree(std::uint64_t packets, std::size_t input_capacity,
+                   bool fan_in = false) {
   Built b;
   auto stage = [&](const char* name, bool forward) {
     StageSpec st;
@@ -290,6 +295,10 @@ Built fan_out_tree(std::uint64_t packets, std::size_t input_capacity) {
   src.total_packets = packets;
   src.packet_bytes = 32;
   b.spec.sources = {src};
+  if (fan_in) {
+    src.stream = 1;
+    b.spec.sources.push_back(src);
+  }
   b.placement.stage_nodes = {1, 2, 3};
   b.hosts.cpu_factor = {1.0, 1.0, 1.0, 1.0};
   net::LinkSpec link;
@@ -299,15 +308,17 @@ Built fan_out_tree(std::uint64_t packets, std::size_t input_capacity) {
 }
 
 template <typename Engine>
-std::vector<std::vector<std::uint64_t>> sink_sequences(Engine& engine) {
+std::vector<std::map<StreamId, std::vector<std::uint64_t>>> sink_sequences(
+    Engine& engine) {
   return {dynamic_cast<SequenceRecorder&>(engine.processor(1)).sequences_,
           dynamic_cast<SequenceRecorder&>(engine.processor(2)).sequences_};
 }
 
 // Every send path the outlet has — direct ring push, staged batch, shaped
-// hand-off — with retention off and on, on both the source and the stage
-// side: each sink sees every sequence once, in order, exactly as in the
-// SimEngine run of the same spec.
+// hand-off — with retention off and on and the profiler off and on, on both
+// the source and the stage side, plus a fan-in case whose A reads a mutex
+// inbox: each sink sees every sequence of every stream once, in order,
+// exactly as in the SimEngine run of the same spec.
 TEST(RtEngineSendPaths, EveryPathDeliversEachPacketOnceInOrder) {
   constexpr std::uint64_t kPackets = 2000;
   std::vector<std::uint64_t> expected(kPackets);
@@ -316,37 +327,53 @@ TEST(RtEngineSendPaths, EveryPathDeliversEachPacketOnceInOrder) {
     const char* name;
     std::size_t input_capacity;
     bool shaped;
+    bool fan_in;
   };
   const Case cases[] = {
-      {"direct", 200, false},
-      {"staged (ring full)", 2, false},
-      {"shaped", 200, true},
+      {"direct", 200, false, false},
+      {"staged (ring full)", 2, false, false},
+      {"shaped", 200, true, false},
+      {"fan-in (mutex inbox)", 200, false, true},
   };
+  obs::Profiler& profiler = obs::Profiler::global();
   for (const Case& c : cases) {
     for (const bool failover : {false, true}) {
-      SCOPED_TRACE(std::string(c.name) +
-                   (failover ? ", retention on" : ", retention off"));
-      Built b = fan_out_tree(kPackets, c.input_capacity);
-      RtEngine::Config cfg;
-      cfg.failover.enabled = failover;
-      RtEngine rt(b.spec, b.placement, b.hosts, b.topology, cfg);
-      if (c.shaped) {
-        rt.prepare_link_change(0, 1);  // source -> A
-        rt.prepare_link_change(1, 2);  // A -> B
-      }
-      ASSERT_TRUE(rt.run().is_ok());
-      ASSERT_TRUE(rt.report().completed);
-      const auto rt_sinks = sink_sequences(rt);
-      EXPECT_EQ(rt_sinks[0], expected);
-      EXPECT_EQ(rt_sinks[1], expected);
+      for (const bool profile : {false, true}) {
+        SCOPED_TRACE(std::string(c.name) +
+                     (failover ? ", retention on" : ", retention off") +
+                     (profile ? ", profiler on" : ", profiler off"));
+        Built b = fan_out_tree(kPackets, c.input_capacity, c.fan_in);
+        RtEngine::Config cfg;
+        cfg.failover.enabled = failover;
+        RtEngine rt(b.spec, b.placement, b.hosts, b.topology, cfg);
+        if (c.shaped) {
+          rt.prepare_link_change(0, 1);  // source -> A
+          rt.prepare_link_change(1, 2);  // A -> B
+        }
+        profiler.reset();
+        profiler.set_enabled(profile);
+        const Status status = rt.run();
+        profiler.set_enabled(false);
+        ASSERT_TRUE(status.is_ok());
+        ASSERT_TRUE(rt.report().completed);
+        const auto rt_sinks = sink_sequences(rt);
+        const std::size_t streams = c.fan_in ? 2 : 1;
+        for (const auto& sink : rt_sinks) {
+          ASSERT_EQ(sink.size(), streams);
+          for (const auto& [stream, seqs] : sink) {
+            EXPECT_EQ(seqs, expected) << "stream " << stream;
+          }
+        }
 
-      SimEngine::Config sim_cfg;
-      sim_cfg.failover.enabled = failover;
-      SimEngine sim(b.spec, b.placement, b.hosts, b.topology, sim_cfg);
-      ASSERT_TRUE(sim.run().is_ok());
-      EXPECT_EQ(rt_sinks, sink_sequences(sim));
+        SimEngine::Config sim_cfg;
+        sim_cfg.failover.enabled = failover;
+        SimEngine sim(b.spec, b.placement, b.hosts, b.topology, sim_cfg);
+        ASSERT_TRUE(sim.run().is_ok());
+        EXPECT_EQ(rt_sinks, sink_sequences(sim));
+      }
     }
   }
+  profiler.reset();
 }
 
 }  // namespace

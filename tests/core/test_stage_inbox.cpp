@@ -13,6 +13,13 @@
 namespace gates::core {
 namespace {
 
+/// Appends up to `max` consumed items to `out`; returns consume()'s count.
+std::size_t consume_into(StageInbox<int>& inbox, std::vector<int>& out,
+                         std::size_t max, double timeout_seconds = -1.0) {
+  return inbox.consume([&](int& item) { out.push_back(item); }, max,
+                       timeout_seconds);
+}
+
 // Both modes must satisfy the same blocking batch contract; run the shared
 // cases against each.
 class StageInboxModes : public ::testing::TestWithParam<bool> {
@@ -31,7 +38,7 @@ TEST_P(StageInboxModes, PushAllDrainRoundTrip) {
   EXPECT_EQ(inbox.push_all(in), 5u);
   EXPECT_TRUE(in.empty());
   std::vector<int> out;
-  EXPECT_EQ(inbox.drain(out, 64), 5u);
+  EXPECT_EQ(consume_into(inbox, out, 64), 5u);
   EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
@@ -42,17 +49,18 @@ TEST_P(StageInboxModes, ProducerBlocksOnFullUntilConsumerDrains) {
   for (int i = 0; i < 64; ++i) in[static_cast<std::size_t>(i)] = i;
   std::thread producer([&] { EXPECT_EQ(inbox.push_all(in), 64u); });
   std::vector<int> out;
-  while (out.size() < 64) inbox.drain(out, 8);
+  while (out.size() < 64) consume_into(inbox, out, 8);
   producer.join();
   for (int i = 0; i < 64; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], i);
 }
 
-TEST_P(StageInboxModes, DrainForTimesOutWhenIdle) {
+TEST_P(StageInboxModes, TimedConsumeReturnsZeroWhenIdle) {
   auto inbox_ptr = make(4);
   StageInbox<int>& inbox = *inbox_ptr;
   std::vector<int> out;
-  EXPECT_EQ(inbox.drain_for(out, 8, 0.01), 0u);
+  EXPECT_EQ(consume_into(inbox, out, 8, 0.01), 0u);
   EXPECT_FALSE(inbox.closed());
+  EXPECT_TRUE(out.empty());
 }
 
 TEST_P(StageInboxModes, CloseWakesBlockedConsumer) {
@@ -60,7 +68,9 @@ TEST_P(StageInboxModes, CloseWakesBlockedConsumer) {
   StageInbox<int>& inbox = *inbox_ptr;
   std::thread consumer([&] {
     std::vector<int> out;
-    EXPECT_EQ(inbox.drain(out, 8), 0u);  // returns once closed and drained
+    // Returns once closed and drained, without calling f.
+    EXPECT_EQ(consume_into(inbox, out, 8), 0u);
+    EXPECT_TRUE(out.empty());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   inbox.close();
@@ -89,7 +99,7 @@ TEST_P(StageInboxModes, AuxItemsArriveAlongsideDataPlane) {
   EXPECT_TRUE(inbox.push_aux(100));
   EXPECT_TRUE(inbox.push_aux(101));
   std::vector<int> out;
-  while (out.size() < 4) inbox.drain(out, 8);
+  while (out.size() < 4) consume_into(inbox, out, 8);
   std::sort(out.begin(), out.end());
   EXPECT_EQ(out, (std::vector<int>{1, 2, 100, 101}));
   EXPECT_EQ(inbox.size(), 0u);
@@ -107,8 +117,61 @@ TEST_P(StageInboxModes, ReopenDiscardsQueuedInput) {
   EXPECT_EQ(inbox.size(), 0u);
   EXPECT_TRUE(inbox.push(7));
   std::vector<int> out;
-  EXPECT_EQ(inbox.drain(out, 8), 1u);
+  EXPECT_EQ(consume_into(inbox, out, 8), 1u);
   EXPECT_EQ(out, (std::vector<int>{7}));
+}
+
+TEST_P(StageInboxModes, ConsumeHonoursMax) {
+  auto inbox_ptr = make(16);
+  StageInbox<int>& inbox = *inbox_ptr;
+  std::vector<int> in = {1, 2, 3, 4, 5, 6, 7};
+  ASSERT_EQ(inbox.push_all(in), 7u);
+  EXPECT_TRUE(inbox.push_aux(100));
+  std::vector<int> out;
+  EXPECT_EQ(consume_into(inbox, out, 3), 3u);
+  EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(inbox.size(), 5u);
+  out.clear();
+  EXPECT_EQ(consume_into(inbox, out, 3), 3u);
+  EXPECT_EQ(out, (std::vector<int>{4, 5, 6}));
+  out.clear();
+  EXPECT_EQ(consume_into(inbox, out, 3), 2u);  // 7 and the aux item
+  EXPECT_EQ(out, (std::vector<int>{7, 100}));
+  EXPECT_EQ(inbox.size(), 0u);
+}
+
+// Cross-thread: a producer streams more items than the inbox holds while the
+// consumer takes small batches; `f` sees every item exactly once, in FIFO
+// order, and never more than `max` per call.
+TEST_P(StageInboxModes, ConsumeSeesEachItemOnceInOrder) {
+  auto inbox_ptr = make(8);
+  StageInbox<int>& inbox = *inbox_ptr;
+  constexpr int kItems = 5000;
+  std::thread producer([&] {
+    std::vector<int> batch;
+    for (int next = 0; next < kItems;) {
+      batch.clear();
+      for (int i = 0; i < 5 && next < kItems; ++i) batch.push_back(next++);
+      const std::size_t n = batch.size();
+      ASSERT_EQ(inbox.push_all(batch), n);
+    }
+  });
+  std::vector<int> seen;
+  while (seen.size() < static_cast<std::size_t>(kItems)) {
+    std::size_t calls = 0;
+    const std::size_t n = inbox.consume(
+        [&](int& item) {
+          ++calls;
+          seen.push_back(item);
+        },
+        3);
+    ASSERT_LE(n, 3u);
+    ASSERT_EQ(calls, n);
+  }
+  producer.join();
+  for (int i = 0; i < kItems; ++i) {
+    ASSERT_EQ(seen[static_cast<std::size_t>(i)], i);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(MutexAndSpsc, StageInboxModes, ::testing::Bool(),
@@ -133,9 +196,9 @@ TEST(StageInboxSpsc, TryProduceFillsSlotsInPlace) {
   EXPECT_FALSE(filled) << "refused produce must not run the fill callback";
   inbox.wake_consumer();
   std::vector<int> out;
-  EXPECT_EQ(inbox.drain(out, 8), 4u);
+  EXPECT_EQ(consume_into(inbox, out, 8), 4u);
   EXPECT_EQ(out, (std::vector<int>{0, 10, 20, 30}));
-  // Draining freed slots; the fast path works again.
+  // Consuming freed slots; the fast path works again.
   EXPECT_TRUE(inbox.try_produce([](int& slot) { slot = 99; }));
 }
 
@@ -149,18 +212,15 @@ TEST(StageInbox, TryProduceRefusesInMutexModeAndWhenClosed) {
 }
 
 // Cross-thread: producer uses only try_produce + wake_consumer, consumer
-// uses blocking drains — the RtEngine direct-route handoff in miniature.
+// uses blocking consumes — the RtEngine direct-route handoff in miniature.
 TEST(StageInboxSpsc, TryProduceWakeConsumerRoundTrip) {
   StageInbox<int> inbox(32);
   inbox.use_spsc();
   constexpr int kItems = 20000;
   std::thread consumer([&] {
-    std::vector<int> out;
     int expect = 0;
     while (expect < kItems) {
-      out.clear();
-      inbox.drain(out, 16);
-      for (const int v : out) EXPECT_EQ(v, expect++);
+      inbox.consume([&](int& v) { EXPECT_EQ(v, expect++); }, 16);
     }
   });
   for (int i = 0; i < kItems;) {
@@ -211,7 +271,7 @@ TEST(StageInboxSpsc, ProducerConsumerWithAuxInjection) {
   std::vector<int> got;
   while (data_count < kItems || aux_count < kAux) {
     got.clear();
-    inbox.drain_for(got, 16, 0.01);
+    consume_into(inbox, got, 16, 0.01);
     for (int v : got) {
       if (v >= kItems) {
         ++aux_count;
@@ -347,18 +407,15 @@ TEST(ReorderMerge, ManyCompleterThreadsPreserveOrder) {
   std::vector<std::thread> workers;
   for (std::size_t i = 0; i < kThreads; ++i) {
     workers.emplace_back([&, i] {
-      std::vector<std::uint64_t> batch;
-      while (true) {
-        batch.clear();
-        if (queues[i]->drain(batch, 8) == 0) return;
-        for (const std::uint64_t seq : batch) {
-          merge.complete(seq, static_cast<int>(seq));
-          while (merge.claim_release()) {
-            std::lock_guard<std::mutex> lock(out_mu);
-            while (auto c = merge.pop_ready()) out.push_back(*c);
-            merge.end_release();
-          }
+      auto complete = [&](std::uint64_t& seq) {
+        merge.complete(seq, static_cast<int>(seq));
+        while (merge.claim_release()) {
+          std::lock_guard<std::mutex> lock(out_mu);
+          while (auto c = merge.pop_ready()) out.push_back(*c);
+          merge.end_release();
         }
+      };
+      while (queues[i]->consume(complete, 8) != 0) {
       }
     });
   }
