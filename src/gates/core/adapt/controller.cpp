@@ -55,13 +55,12 @@ double ParameterController::update(double normalized_dtilde) {
   // t1 of 1e-16 against an exact zero t2 reads as phi1 = 1 — full drive
   // from an exception that faded away long ago.
   constexpr double kMaterialCount = 0.05;
-  if (t1_ + t2_ < kMaterialCount) {
-    last_downstream_phi1_ = 0;
-  } else {
-    last_downstream_phi1_ = phi1(t1_, config_.underload_discount * t2_);
-  }
+  const double downstream_phi1 =
+      t1_ + t2_ < kMaterialCount
+          ? 0.0
+          : phi1(t1_, config_.underload_discount * t2_);
   nd_history_.add(normalized_dtilde);
-  phi1_history_.add(last_downstream_phi1_);
+  phi1_history_.add(downstream_phi1);
 
   const auto& spec = param_.spec();
   // Equation 4 resolves into two drives on the parameter VALUE:
@@ -79,13 +78,12 @@ double ParameterController::update(double normalized_dtilde) {
   // An idle server must not push accuracy (and downstream volume) up while
   // downstream is actively congested: the real-time constraint downstream
   // outranks B's spare capacity.
-  if (own < 0 && last_downstream_phi1_ > 0 && s < 0) own = 0;
+  if (own < 0 && downstream_phi1 > 0 && s < 0) own = 0;
 
   const double delta =
       config_.queue_weight * s * own * sigma(nd_history_) -
-      config_.downstream_weight * last_downstream_phi1_ * sigma(phi1_history_);
-  last_delta_ = delta;
-  last_update_ = {normalized_dtilde, last_downstream_phi1_,
+      config_.downstream_weight * downstream_phi1 * sigma(phi1_history_);
+  last_update_ = {normalized_dtilde, downstream_phi1,
                   param_.suggested_value(), param_.suggested_value(), delta};
 
   // Decay exception counts so only recently reported exceptions influence

@@ -65,8 +65,8 @@ class ParameterController {
   /// (in [-1,1]). Returns the new parameter value.
   double update(double normalized_dtilde);
 
-  /// Everything the last update() consumed and decided — the engines emit
-  /// this as a kParamAdjust trace event (with stage name and time attached).
+  /// Everything the last update() consumed and decided; StageAdaptation
+  /// traces it as a kParamAdjust event.
   struct LastUpdate {
     double dtilde = 0;     // normalized dtilde input (Eq. 4 first term)
     double phi1 = 0;       // downstream phi1(T1,T2) input (second term)
@@ -77,13 +77,9 @@ class ParameterController {
   const LastUpdate& last_update() const { return last_update_; }
 
   // -- diagnostics -----------------------------------------------------------
-  double last_delta() const { return last_delta_; }
+  double last_delta() const { return last_update_.delta; }
   double t1() const { return t1_; }
   double t2() const { return t2_; }
-  double last_downstream_phi1() const { return last_downstream_phi1_; }
-  const AdjustmentParameter& parameter() const { return param_; }
-  AdjustmentParameter& parameter() { return param_; }
-  const ControllerConfig& config() const { return config_; }
 
  private:
   double sigma(const SlidingWindowStats& stats) const;
@@ -95,8 +91,6 @@ class ParameterController {
   double t2_ = 0;
   SlidingWindowStats nd_history_;
   SlidingWindowStats phi1_history_;
-  double last_delta_ = 0;
-  double last_downstream_phi1_ = 0;
   LastUpdate last_update_;
 };
 
@@ -124,7 +118,7 @@ struct ReplicaScalerConfig {
 /// only at the floor let upstream recover accuracy.
 class ReplicaScaler {
  public:
-  /// What the engine should do with this period's load signal.
+  /// What the stage should do with this period's load signal.
   enum class Decision {
     kNone,       // nothing: signal swallowed (or no signal)
     kScaleUp,    // add one replica; do not propagate the exception
@@ -137,9 +131,6 @@ class ReplicaScaler {
 
   /// One control period. `current` is the replica count now running.
   Decision observe(LoadSignal signal, std::size_t current);
-
-  std::size_t min_replicas() const { return min_replicas_; }
-  std::size_t max_replicas() const { return max_replicas_; }
 
  private:
   std::size_t min_replicas_;

@@ -15,10 +15,10 @@
 #include "gates/common/json.hpp"
 #include "gates/common/log.hpp"
 #include "gates/common/token_bucket.hpp"
-#include "gates/core/adapt/queue_monitor.hpp"
 #include "gates/core/checkpoint.hpp"
 #include "gates/core/failover.hpp"
 #include "gates/core/retention_ring.hpp"
+#include "gates/core/stage_adaptation.hpp"
 #include "gates/core/stage_inbox.hpp"
 #include "gates/obs/attribution.hpp"
 #include "gates/obs/metrics.hpp"
@@ -343,7 +343,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     StageWorker& worker_;
     Rng rng_;
   };
-  /// One replica slot. All `budget_` slots are built at setup so the control
+  /// One replica slot. All budget slots are built at setup so the control
   /// thread can read queue sizes without racing slot creation; only the
   /// active prefix has running threads.
   struct Replica {
@@ -365,7 +365,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
         max_batch_(
             std::max<std::size_t>(engine.config_.batching.max_batch, 1)),
         queue_(spec.input_capacity),
-        monitor_(spec.monitor),
+        adaptation_(spec, engine.hosts_.cores_at(node)),
         rng_(rng),
         clock_(clock) {
     queue_.set_idle(engine_.config_.idle);
@@ -376,17 +376,14 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
       return;
     }
     const Parallelism& par = spec_.parallelism;
-    // Core budget: explicit max_replicas wins, else the host's core count.
-    budget_ = par.max_replicas != 0 ? par.max_replicas
-                                    : engine_.hosts_.cores_at(node_);
-    budget_ = std::max(budget_, par.replicas);
+    const std::size_t budget = adaptation_.replica_budget();
     replica_cap_ = std::max<std::size_t>(2 * max_batch_, 4);
     // Window sized so every replica can have a full queue plus in-flight
     // work without the dispatcher stalling on the merge ring.
-    merge_ = std::make_unique<ReorderMerge<Completion>>(budget_ *
+    merge_ = std::make_unique<ReorderMerge<Completion>>(budget *
                                                         (replica_cap_ + 2));
     merge_->set_idle(engine_.config_.idle);
-    for (std::size_t r = 0; r < budget_; ++r) {
+    for (std::size_t r = 0; r < budget; ++r) {
       auto rep = std::make_unique<Replica>();
       rep->processor = spec_.factory();
       GATES_CHECK_MSG(rep->processor != nullptr,
@@ -401,20 +398,6 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     active_replicas_.store(par.replicas, std::memory_order_relaxed);
     scale_target_.store(par.replicas, std::memory_order_relaxed);
     max_replicas_used_ = par.replicas;
-    if (par.mode == ParallelismMode::kStateless) {
-      // Dynamic scaling is stateless-only: keyed pools would have to migrate
-      // per-key state to re-shard. Keyed exceptions propagate as usual.
-      scaler_ = std::make_unique<adapt::ReplicaScaler>(
-          par.replicas, budget_, adapt::ReplicaScalerConfig{});
-      AdjustmentParameter::Spec rspec;
-      rspec.name = "replicas";
-      rspec.initial = static_cast<double>(par.replicas);
-      rspec.min_value = static_cast<double>(par.replicas);
-      rspec.max_value = static_cast<double>(budget_);
-      rspec.increment = 1;
-      rspec.direction = ParamDirection::kIncreaseSpeedsUp;
-      replicas_param_ = std::make_unique<AdjustmentParameter>(rspec);
-    }
   }
 
   bool pooled() const {
@@ -519,8 +502,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     GATES_CHECK(crashed() && !finished());
     join();
     queue_.reopen();
-    params_.clear();
-    controllers_.clear();
+    adaptation_.clear_parameters();
     pending_acks_.clear();  // the dead worker's unflushed batch
     ++recoveries_;
     if (!pooled()) {
@@ -637,8 +619,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     join();
     node_ = node;
     cpu_factor_ = cpu_factor;
-    params_.clear();
-    controllers_.clear();
+    adaptation_.clear_parameters();
     ++recoveries_;
     auto make = [&]() {
       auto p = factory ? factory() : spec_.factory();
@@ -743,17 +724,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
   AdjustmentParameter& specify_parameter(
       AdjustmentParameter::Spec param_spec) override {
     GATES_CHECK_MSG(in_init_, "specify_parameter must be called from init()");
-    if (pooled()) {
-      // The factory runs once per replica, but the pool is one stage to the
-      // controller: replicas share one middleware-owned parameter per name.
-      for (auto& p : params_) {
-        if (p->name() == param_spec.name) return *p;
-      }
-    }
-    params_.push_back(std::make_unique<AdjustmentParameter>(param_spec));
-    controllers_.push_back(std::make_unique<adapt::ParameterController>(
-        *params_.back(), spec_.controller));
-    return *params_.back();
+    return adaptation_.specify(std::move(param_spec));
   }
   const Properties& properties() const override { return spec_.properties; }
   Rng& rng() override { return rng_; }
@@ -762,6 +733,10 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
   const std::string& stage_name() const override { return spec_.name; }
 
   // -- control thread interface (single-threaded with respect to monitors) ---
+  StageAdaptation& adaptation() { return adaptation_; }
+
+  /// One control period. The dispatcher applies the returned replica target
+  /// between batches (apply_scale).
   void control_step(bool adapt) {
     // A pooled stage's backlog is the dispatcher inbox plus every active
     // replica's private queue — the monitor must see work the dispatcher
@@ -774,147 +749,37 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
         d += static_cast<double>(replicas_[r]->queue->size());
       }
     }
-    queue_samples_.add(d);
-    const adapt::LoadSignal signal = monitor_.observe(d);
-    if (signal == adapt::LoadSignal::kOverload) {
-      ++overload_sent_;
-      GATES_TRACE(.time = clock_.now(),
-                  .kind = obs::TraceKind::kOverloadException,
-                  .component = spec_.name,
-                  .dtilde = monitor_.normalized_dtilde());
+    const StageAdaptation::Outcome out = adaptation_.step(
+        d, scale_target_.load(std::memory_order_relaxed), clock_.now(), adapt,
+        {packets_processed_.load(std::memory_order_relaxed),
+         packets_emitted_.load(std::memory_order_relaxed),
+         packets_dropped_.load(std::memory_order_relaxed)});
+    scale_target_.store(out.replicas, std::memory_order_release);
+    if (pooled() && obs::MetricsRegistry::global().enabled()) {
+      publish_pool_metrics();
     }
-    if (signal == adapt::LoadSignal::kUnderload) {
-      ++underload_sent_;
-      GATES_TRACE(.time = clock_.now(),
-                  .kind = obs::TraceKind::kUnderloadException,
-                  .component = spec_.name,
-                  .dtilde = monitor_.normalized_dtilde());
-    }
-    if (signal != adapt::LoadSignal::kNone) {
-      // Scale-before-degrade (§4 + DESIGN.md §5.6): a replicated stage's
-      // exception first buys replicas from the host's core budget; only
-      // once the scaler says kPropagate (budget or floor reached) does the
-      // exception reach upstream and trade accuracy via Eq. 4.
-      bool propagate = true;
-      if (scaler_ != nullptr && adapt) propagate = !apply_scaling(signal);
-      if (propagate) {
-        for (StageWorker* up : upstreams_) up->receive_exception(signal);
-      }
-    }
-    if (replicas_param_ != nullptr) {
-      replicas_param_->set_value(static_cast<double>(
-          scale_target_.load(std::memory_order_relaxed)));
-      replicas_param_->record(clock_.now());
-    }
-    for (std::size_t i = 0; i < controllers_.size(); ++i) {
-      if (adapt) {
-        controllers_[i]->update(monitor_.normalized_dtilde_gated());
-        const adapt::ParameterController::LastUpdate& u =
-            controllers_[i]->last_update();
-        // The annotation snapshots this stage's phase breakdown at decision
-        // time, so every Eq. 4 move carries the attribution that triggered
-        // it. attribution_brief returns "" (and the field is elided) when
-        // the Profiler is off; the whole expression is unevaluated when
-        // tracing is off.
-        GATES_TRACE(.time = clock_.now(),
-                    .kind = obs::TraceKind::kParamAdjust,
-                    .component = spec_.name, .detail = params_[i]->name(),
-                    .value_old = u.old_value, .value_new = u.new_value,
-                    .dtilde = u.dtilde, .phi1 = u.phi1,
-                    .annotation = obs::attribution_brief(spec_.name));
-      }
-      params_[i]->record(clock_.now());
-    }
-    if (obs::MetricsRegistry::global().enabled()) sample_metrics();
+    for (StageWorker* up : upstreams_) up->adaptation().receive(out.propagate);
   }
 
-  /// One load signal through the replica scaler. Returns true when the pool
-  /// consumed the signal (scaled, or is waiting out a streak/cooldown);
-  /// false means the budget or floor is exhausted and the caller should
-  /// propagate the exception upstream.
-  bool apply_scaling(adapt::LoadSignal signal) {
-    const std::size_t target = scale_target_.load(std::memory_order_relaxed);
-    switch (scaler_->observe(signal, target)) {
-      case adapt::ReplicaScaler::Decision::kPropagate:
-        return false;
-      case adapt::ReplicaScaler::Decision::kNone:
-        return true;
-      case adapt::ReplicaScaler::Decision::kScaleUp:
-        scale_target_.store(target + 1, std::memory_order_release);
-        GATES_TRACE(.time = clock_.now(),
-                    .kind = obs::TraceKind::kReplicaScaleUp,
-                    .component = spec_.name,
-                    .value_old = static_cast<double>(target),
-                    .value_new = static_cast<double>(target + 1),
-                    .dtilde = monitor_.normalized_dtilde(),
-                    .annotation = obs::attribution_brief(spec_.name));
-        return true;
-      case adapt::ReplicaScaler::Decision::kScaleDown:
-        scale_target_.store(target - 1, std::memory_order_release);
-        GATES_TRACE(.time = clock_.now(),
-                    .kind = obs::TraceKind::kReplicaScaleDown,
-                    .component = spec_.name,
-                    .value_old = static_cast<double>(target),
-                    .value_new = static_cast<double>(target - 1),
-                    .dtilde = monitor_.normalized_dtilde(),
-                    .annotation = obs::attribution_brief(spec_.name));
-        return true;
-    }
-    return false;
-  }
-
-  /// Control-tick publication into the registry. Worker-thread counters are
-  /// relaxed atomics, so sampling them mid-run is race-free; handles are
-  /// resolved on the first sampled tick.
-  void sample_metrics() {
-    if (processed_ctr_ == nullptr) {
+  /// The pool's own metrics; handles resolved on the first sampled tick.
+  void publish_pool_metrics() {
+    if (replicas_gauge_ == nullptr) {
       auto& reg = obs::MetricsRegistry::global();
-      const obs::Labels labels = {{"stage", spec_.name}};
-      processed_ctr_ = &reg.counter("gates_stage_packets_processed", labels);
-      emitted_ctr_ = &reg.counter("gates_stage_packets_emitted", labels);
-      dropped_ctr_ = &reg.counter("gates_stage_packets_dropped", labels);
-      overload_ctr_ =
-          &reg.counter("gates_stage_overload_exceptions", labels);
-      underload_ctr_ =
-          &reg.counter("gates_stage_underload_exceptions", labels);
-      received_ctr_ =
-          &reg.counter("gates_stage_exceptions_received", labels);
-      queue_gauge_ = &reg.gauge("gates_stage_queue_length", labels);
-      dtilde_gauge_ = &reg.gauge("gates_stage_dtilde", labels);
-      queue_hist_ = &reg.histogram(
-          "gates_stage_queue_length_hist", 0,
-          static_cast<double>(spec_.monitor.capacity), 16, labels);
-      if (pooled()) {
-        replicas_gauge_ = &reg.gauge("gates_stage_replicas", labels);
-        replica_ctrs_.resize(replicas_.size());
-        for (std::size_t r = 0; r < replicas_.size(); ++r) {
-          replica_ctrs_[r] = &reg.counter(
-              "gates_stage_replica_packets_processed",
-              {{"stage", spec_.name}, {"replica", std::to_string(r)}});
-        }
-      }
-    }
-    processed_ctr_->set(packets_processed_.load(std::memory_order_relaxed));
-    emitted_ctr_->set(packets_emitted_.load(std::memory_order_relaxed));
-    dropped_ctr_->set(packets_dropped_.load(std::memory_order_relaxed));
-    overload_ctr_->set(overload_sent_);
-    underload_ctr_->set(underload_sent_);
-    received_ctr_->set(exceptions_received_);
-    queue_gauge_->set(static_cast<double>(queue_.size()));
-    dtilde_gauge_->set(monitor_.normalized_dtilde());
-    queue_hist_->observe(static_cast<double>(queue_.size()));
-    if (pooled()) {
-      replicas_gauge_->set(static_cast<double>(
-          active_replicas_.load(std::memory_order_relaxed)));
+      replicas_gauge_ =
+          &reg.gauge("gates_stage_replicas", {{"stage", spec_.name}});
+      replica_ctrs_.resize(replicas_.size());
       for (std::size_t r = 0; r < replicas_.size(); ++r) {
-        replica_ctrs_[r]->set(
-            replicas_[r]->packets.load(std::memory_order_relaxed));
+        replica_ctrs_[r] = &reg.counter(
+            "gates_stage_replica_packets_processed",
+            {{"stage", spec_.name}, {"replica", std::to_string(r)}});
       }
     }
-  }
-  void receive_exception(adapt::LoadSignal signal) {
-    ++exceptions_received_;
-    for (auto& c : controllers_) c->report_downstream_exception(signal);
+    replicas_gauge_->set(static_cast<double>(
+        active_replicas_.load(std::memory_order_relaxed)));
+    for (std::size_t r = 0; r < replicas_.size(); ++r) {
+      replica_ctrs_[r]->set(
+          replicas_[r]->packets.load(std::memory_order_relaxed));
+    }
   }
 
   StageReport build_report() const {
@@ -927,25 +792,14 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     r.packets_emitted = packets_emitted_.load(std::memory_order_relaxed);
     r.packets_dropped = packets_dropped_.load(std::memory_order_relaxed);
     r.busy_time = busy_time_;
-    r.queue_length = queue_samples_;
     r.packet_latency = latency_;
-    r.overload_exceptions_sent = overload_sent_;
-    r.underload_exceptions_sent = underload_sent_;
-    r.exceptions_received = exceptions_received_;
-    r.final_normalized_dtilde = monitor_.normalized_dtilde();
+    adaptation_.fill(r);
     if (pooled()) {
       r.final_replicas = active_replicas_.load(std::memory_order_relaxed);
       r.max_replicas_used = max_replicas_used_;
       Duration busy = 0;
       for (const auto& rep : replicas_) busy += rep->busy_time;
       r.busy_time = busy;
-    }
-    for (const auto& p : params_) {
-      r.parameter_trajectories.emplace_back(p->name(), p->trajectory());
-    }
-    if (replicas_param_ != nullptr) {
-      r.parameter_trajectories.emplace_back(replicas_param_->name(),
-                                            replicas_param_->trajectory());
     }
     return r;
   }
@@ -1564,9 +1418,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
   std::uint64_t dropped_pending_ = 0;
   std::vector<std::uint64_t> ack_seqs_;
   std::vector<StageWorker*> upstreams_;
-  adapt::QueueMonitor monitor_;
-  std::vector<std::unique_ptr<AdjustmentParameter>> params_;
-  std::vector<std::unique_ptr<adapt::ParameterController>> controllers_;
+  StageAdaptation adaptation_;  // control thread only
   Rng rng_;
   const Clock& clock_;
   std::thread thread_;
@@ -1608,19 +1460,13 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
   // Stage thread only, read after join().
   Duration busy_time_ = 0;
   RunningStats latency_;
-  // Owned by the control thread.
-  RunningStats queue_samples_;
-  std::uint64_t overload_sent_ = 0;
-  std::uint64_t underload_sent_ = 0;
-  std::uint64_t exceptions_received_ = 0;
 
   // -- replica pool state (empty/unused for serial stages) --------------------
-  std::size_t budget_ = 1;       // max replicas (explicit or host cores)
   std::size_t replica_cap_ = 0;  // per-replica queue capacity
   std::unique_ptr<ReorderMerge<Completion>> merge_;
   std::vector<std::unique_ptr<Replica>> replicas_;
   std::atomic<std::size_t> active_replicas_{1};
-  /// Written by the control thread (apply_scaling), applied by the
+  /// Written by the control thread (control_step), applied by the
   /// dispatcher (apply_scale) between batches.
   std::atomic<std::size_t> scale_target_{1};
   std::size_t max_replicas_used_ = 1;  // dispatcher thread; read after join
@@ -1630,19 +1476,8 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
   /// egress loops fill it per batch, a pool's releaser per release pass
   /// (handed between threads by the merge mutex).
   std::vector<PendingAck> pending_acks_;
-  std::unique_ptr<adapt::ReplicaScaler> scaler_;         // control thread only
-  std::unique_ptr<AdjustmentParameter> replicas_param_;  // control thread only
 
-  // Cached metric handles (resolved on the first sampled control tick).
-  obs::Counter* processed_ctr_ = nullptr;
-  obs::Counter* emitted_ctr_ = nullptr;
-  obs::Counter* dropped_ctr_ = nullptr;
-  obs::Counter* overload_ctr_ = nullptr;
-  obs::Counter* underload_ctr_ = nullptr;
-  obs::Counter* received_ctr_ = nullptr;
-  obs::Gauge* queue_gauge_ = nullptr;
-  obs::Gauge* dtilde_gauge_ = nullptr;
-  obs::FixedHistogram* queue_hist_ = nullptr;
+  // Pool metric handles (resolved on the first sampled control tick).
   obs::Gauge* replicas_gauge_ = nullptr;
   std::vector<obs::Counter*> replica_ctrs_;
 };
@@ -2555,7 +2390,9 @@ Status RtEngine::execute(Duration source_horizon) {
     if (all_finished()) break;
     const TimePoint tick_start = clock_.now();
     for (auto& stage : stages_) {
-      stage->control_step(config_.adaptation_enabled);
+      // A crashed stage's closed inbox keeps its frozen backlog; like the
+      // SimEngine, it raises no exceptions until it is revived.
+      if (!stage->crashed()) stage->control_step(config_.adaptation_enabled);
     }
     publish_pool();
     publish_wire();

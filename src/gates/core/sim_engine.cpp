@@ -8,6 +8,7 @@
 #include "gates/common/log.hpp"
 #include "gates/core/checkpoint.hpp"
 #include "gates/core/retention_ring.hpp"
+#include "gates/core/stage_adaptation.hpp"
 #include "gates/obs/attribution.hpp"
 #include "gates/obs/metrics.hpp"
 #include "gates/obs/profiler.hpp"
@@ -133,36 +134,14 @@ class SimEngine::StageRuntime final : public net::MessageSink,
         spec_(spec),
         node_(node),
         cpu_factor_(cpu_factor),
-        monitor_(spec.monitor),
-        rng_(rng) {
+        adaptation_(spec, engine.hosts_.cores_at(node)),
+        rng_(rng),
+        active_replicas_(spec.parallelism.replicas),
+        max_replicas_used_(spec.parallelism.replicas) {
     GATES_CHECK(cpu_factor_ > 0);
     processor_ = spec_.factory();
     GATES_CHECK_MSG(processor_ != nullptr,
                     "factory for stage '" + spec_.name + "' returned null");
-    if (spec_.parallelism.mode != ParallelismMode::kSerial) {
-      const Parallelism& par = spec_.parallelism;
-      replica_budget_ = par.max_replicas != 0
-                            ? par.max_replicas
-                            : engine_.hosts_.cores_at(node_);
-      replica_budget_ = std::max(replica_budget_, par.replicas);
-      active_replicas_ = par.replicas;
-      max_replicas_used_ = par.replicas;
-      if (par.mode == ParallelismMode::kStateless) {
-        // Scale-before-degrade: same policy object the RtEngine uses. The
-        // DES models the pool as one server whose rate is multiplied by the
-        // active replica count (§4's overload exception first buys cores).
-        scaler_ = std::make_unique<adapt::ReplicaScaler>(
-            par.replicas, replica_budget_, adapt::ReplicaScalerConfig{});
-        AdjustmentParameter::Spec rspec;
-        rspec.name = "replicas";
-        rspec.initial = static_cast<double>(par.replicas);
-        rspec.min_value = static_cast<double>(par.replicas);
-        rspec.max_value = static_cast<double>(replica_budget_);
-        rspec.increment = 1;
-        rspec.direction = ParamDirection::kIncreaseSpeedsUp;
-        replicas_param_ = std::make_unique<AdjustmentParameter>(rspec);
-      }
-    }
   }
 
   void init() {
@@ -270,8 +249,7 @@ class SimEngine::StageRuntime final : public net::MessageSink,
     GATES_CHECK_MSG(processor_ != nullptr,
                     "replacement factory for stage '" + spec_.name +
                         "' returned null");
-    params_.clear();
-    controllers_.clear();
+    adaptation_.clear_parameters();
     failed_ = false;
     busy_ = false;
     // New incarnation: anything still in flight from before the revival is
@@ -365,10 +343,7 @@ class SimEngine::StageRuntime final : public net::MessageSink,
   AdjustmentParameter& specify_parameter(
       AdjustmentParameter::Spec param_spec) override {
     GATES_CHECK_MSG(in_init_, "specify_parameter must be called from init()");
-    params_.push_back(std::make_unique<AdjustmentParameter>(param_spec));
-    controllers_.push_back(std::make_unique<adapt::ParameterController>(
-        *params_.back(), spec_.controller));
-    return *params_.back();
+    return adaptation_.specify(std::move(param_spec));
   }
   const Properties& properties() const override { return spec_.properties; }
   Rng& rng() override { return rng_; }
@@ -377,137 +352,19 @@ class SimEngine::StageRuntime final : public net::MessageSink,
   const std::string& stage_name() const override { return spec_.name; }
 
   // -- adaptation ---------------------------------------------------------------
-  /// Exception reported by a downstream server (stage monitor or outbound
-  /// link monitor).
-  void receive_downstream_exception(adapt::LoadSignal signal) {
-    ++exceptions_received_;
-    for (auto& controller : controllers_) {
-      controller->report_downstream_exception(signal);
-    }
-  }
+  StageAdaptation& adaptation() { return adaptation_; }
 
-  /// One control period: observe own queue, report upstream, adjust params.
+  /// One control period over the stage's own queue. A scale step takes
+  /// effect at once: the DES pool is one server at a multiplied rate.
   void control_step() {
     if (failed_) return;
-    queue_samples_.add(static_cast<double>(queue_.size()));
-    const adapt::LoadSignal signal =
-        monitor_.observe(static_cast<double>(queue_.size()));
-    if (signal == adapt::LoadSignal::kOverload) {
-      ++overload_sent_;
-      GATES_TRACE(.time = engine_.sim_.now(),
-                  .kind = obs::TraceKind::kOverloadException,
-                  .component = spec_.name,
-                  .dtilde = monitor_.normalized_dtilde());
-    }
-    if (signal == adapt::LoadSignal::kUnderload) {
-      ++underload_sent_;
-      GATES_TRACE(.time = engine_.sim_.now(),
-                  .kind = obs::TraceKind::kUnderloadException,
-                  .component = spec_.name,
-                  .dtilde = monitor_.normalized_dtilde());
-    }
-    if (signal != adapt::LoadSignal::kNone) {
-      // Scale-before-degrade: a replicated stage's exception is offered to
-      // the replica scaler first; only a kPropagate verdict (core budget or
-      // floor exhausted) lets it reach upstream accuracy controllers.
-      bool propagate = true;
-      if (scaler_ != nullptr && engine_.config_.adaptation_enabled) {
-        propagate = !apply_scaling(signal);
-      }
-      if (propagate) {
-        for (StageRuntime* up : upstreams_) {
-          up->receive_downstream_exception(signal);
-        }
-      }
-    }
-    if (replicas_param_ != nullptr) {
-      replicas_param_->set_value(static_cast<double>(active_replicas_));
-      replicas_param_->record(engine_.sim_.now());
-    }
-    if (engine_.config_.adaptation_enabled) {
-      for (std::size_t i = 0; i < controllers_.size(); ++i) {
-        controllers_[i]->update(monitor_.normalized_dtilde_gated());
-        params_[i]->record(engine_.sim_.now());
-        const adapt::ParameterController::LastUpdate& u =
-            controllers_[i]->last_update();
-        // Every Eq. 4 move carries the attribution snapshot that triggered
-        // it (empty/elided when the Profiler is off).
-        GATES_TRACE(.time = engine_.sim_.now(),
-                    .kind = obs::TraceKind::kParamAdjust,
-                    .component = spec_.name, .detail = params_[i]->name(),
-                    .value_old = u.old_value, .value_new = u.new_value,
-                    .dtilde = u.dtilde, .phi1 = u.phi1,
-                    .annotation = obs::attribution_brief(spec_.name));
-      }
-    } else {
-      for (auto& p : params_) p->record(engine_.sim_.now());
-    }
-    if (obs::MetricsRegistry::global().enabled()) sample_metrics();
-  }
-
-  /// One load signal through the replica scaler; returns true when the pool
-  /// consumed it (a DES scale step is instantaneous — no dispatcher handoff).
-  bool apply_scaling(adapt::LoadSignal signal) {
-    switch (scaler_->observe(signal, active_replicas_)) {
-      case adapt::ReplicaScaler::Decision::kPropagate:
-        return false;
-      case adapt::ReplicaScaler::Decision::kNone:
-        return true;
-      case adapt::ReplicaScaler::Decision::kScaleUp:
-        GATES_TRACE(.time = engine_.sim_.now(),
-                    .kind = obs::TraceKind::kReplicaScaleUp,
-                    .component = spec_.name,
-                    .value_old = static_cast<double>(active_replicas_),
-                    .value_new = static_cast<double>(active_replicas_ + 1),
-                    .dtilde = monitor_.normalized_dtilde(),
-                    .annotation = obs::attribution_brief(spec_.name));
-        ++active_replicas_;
-        max_replicas_used_ = std::max(max_replicas_used_, active_replicas_);
-        return true;
-      case adapt::ReplicaScaler::Decision::kScaleDown:
-        GATES_TRACE(.time = engine_.sim_.now(),
-                    .kind = obs::TraceKind::kReplicaScaleDown,
-                    .component = spec_.name,
-                    .value_old = static_cast<double>(active_replicas_),
-                    .value_new = static_cast<double>(active_replicas_ - 1),
-                    .dtilde = monitor_.normalized_dtilde(),
-                    .annotation = obs::attribution_brief(spec_.name));
-        --active_replicas_;
-        return true;
-    }
-    return false;
-  }
-
-  /// Control-tick publication of this stage's counters into the registry;
-  /// handles resolved (registration mutex) on first use only.
-  void sample_metrics() {
-    if (processed_ctr_ == nullptr) {
-      auto& reg = obs::MetricsRegistry::global();
-      const obs::Labels labels = {{"stage", spec_.name}};
-      processed_ctr_ = &reg.counter("gates_stage_packets_processed", labels);
-      emitted_ctr_ = &reg.counter("gates_stage_packets_emitted", labels);
-      dropped_ctr_ = &reg.counter("gates_stage_packets_dropped", labels);
-      overload_ctr_ =
-          &reg.counter("gates_stage_overload_exceptions", labels);
-      underload_ctr_ =
-          &reg.counter("gates_stage_underload_exceptions", labels);
-      received_ctr_ =
-          &reg.counter("gates_stage_exceptions_received", labels);
-      queue_gauge_ = &reg.gauge("gates_stage_queue_length", labels);
-      dtilde_gauge_ = &reg.gauge("gates_stage_dtilde", labels);
-      queue_hist_ = &reg.histogram(
-          "gates_stage_queue_length_hist", 0,
-          static_cast<double>(spec_.monitor.capacity), 16, labels);
-    }
-    processed_ctr_->set(packets_processed_);
-    emitted_ctr_->set(packets_emitted_);
-    dropped_ctr_->set(packets_dropped_);
-    overload_ctr_->set(overload_sent_);
-    underload_ctr_->set(underload_sent_);
-    received_ctr_->set(exceptions_received_);
-    queue_gauge_->set(static_cast<double>(queue_.size()));
-    dtilde_gauge_->set(monitor_.normalized_dtilde());
-    queue_hist_->observe(static_cast<double>(queue_.size()));
+    const StageAdaptation::Outcome out = adaptation_.step(
+        static_cast<double>(queue_.size()), active_replicas_,
+        engine_.sim_.now(), engine_.config_.adaptation_enabled,
+        {packets_processed_, packets_emitted_, packets_dropped_});
+    active_replicas_ = out.replicas;
+    max_replicas_used_ = std::max(max_replicas_used_, active_replicas_);
+    for (StageRuntime* up : upstreams_) up->adaptation().receive(out.propagate);
   }
 
   /// True while any outbound link's backlog exceeds the send buffer; the
@@ -676,8 +533,7 @@ class SimEngine::StageRuntime final : public net::MessageSink,
     GATES_CHECK_MSG(processor_ != nullptr,
                     "migration factory for stage '" + spec_.name +
                         "' returned null");
-    params_.clear();
-    controllers_.clear();
+    adaptation_.clear_parameters();
     queue_.clear();  // unacked: replayed below, not lost
     busy_ = false;
     ++incarnation_;
@@ -701,21 +557,10 @@ class SimEngine::StageRuntime final : public net::MessageSink,
     r.packets_emitted = packets_emitted_;
     r.packets_dropped = packets_dropped_;
     r.busy_time = busy_time_;
-    r.queue_length = queue_samples_;
     r.packet_latency = latency_;
-    r.overload_exceptions_sent = overload_sent_;
-    r.underload_exceptions_sent = underload_sent_;
-    r.exceptions_received = exceptions_received_;
-    r.final_normalized_dtilde = monitor_.normalized_dtilde();
     r.final_replicas = active_replicas_;
     r.max_replicas_used = max_replicas_used_;
-    for (const auto& p : params_) {
-      r.parameter_trajectories.emplace_back(p->name(), p->trajectory());
-    }
-    if (replicas_param_ != nullptr) {
-      r.parameter_trajectories.emplace_back(replicas_param_->name(),
-                                            replicas_param_->trajectory());
-    }
+    adaptation_.fill(r);
     return r;
   }
 
@@ -724,14 +569,6 @@ class SimEngine::StageRuntime final : public net::MessageSink,
   bool finished() const { return finished_; }
   const std::string& name() const { return spec_.name; }
   std::size_t recoveries() const { return recoveries_; }
-  double parameter_value(const std::string& pname) const {
-    for (const auto& p : params_) {
-      if (p->name() == pname) return p->suggested_value();
-    }
-    GATES_CHECK_MSG(false, "no parameter '" + pname + "' on stage '" +
-                               spec_.name + "'");
-    return 0;
-  }
 
  private:
   void raise_eos_on_behalf() {
@@ -775,17 +612,12 @@ class SimEngine::StageRuntime final : public net::MessageSink,
   std::vector<std::unique_ptr<ReplayChannel>> channels_;
   std::vector<StageRuntime*> upstreams_;
 
-  adapt::QueueMonitor monitor_;
-  std::vector<std::unique_ptr<AdjustmentParameter>> params_;
-  std::vector<std::unique_ptr<adapt::ParameterController>> controllers_;
+  StageAdaptation adaptation_;
   Rng rng_;
 
   // Replica pool model (1 server, multiplied service rate).
-  std::size_t active_replicas_ = 1;
-  std::size_t replica_budget_ = 1;
-  std::size_t max_replicas_used_ = 1;
-  std::unique_ptr<adapt::ReplicaScaler> scaler_;
-  std::unique_ptr<AdjustmentParameter> replicas_param_;
+  std::size_t active_replicas_;
+  std::size_t max_replicas_used_;
 
   bool in_init_ = false;
   bool busy_ = false;
@@ -806,22 +638,7 @@ class SimEngine::StageRuntime final : public net::MessageSink,
   std::uint64_t packets_unrouted_ = 0;
   std::uint64_t blocked_events_ = 0;
   Duration busy_time_ = 0;
-  RunningStats queue_samples_;
   RunningStats latency_;
-  std::uint64_t overload_sent_ = 0;
-  std::uint64_t underload_sent_ = 0;
-  std::uint64_t exceptions_received_ = 0;
-
-  // Cached metric handles (resolved on the first sampled control tick).
-  obs::Counter* processed_ctr_ = nullptr;
-  obs::Counter* emitted_ctr_ = nullptr;
-  obs::Counter* dropped_ctr_ = nullptr;
-  obs::Counter* overload_ctr_ = nullptr;
-  obs::Counter* underload_ctr_ = nullptr;
-  obs::Counter* received_ctr_ = nullptr;
-  obs::Gauge* queue_gauge_ = nullptr;
-  obs::Gauge* dtilde_gauge_ = nullptr;
-  obs::FixedHistogram* queue_hist_ = nullptr;
 
   // Observability handles, resolved at init() (and re-resolved on revive).
   obs::PhaseClock* profile_ = nullptr;
@@ -1230,10 +1047,8 @@ void SimEngine::control_tick() {
                   .kind = obs::TraceKind::kUnderloadException,
                   .component = ml->link->config().name, .dtilde = d);
     }
-    if (signal != adapt::LoadSignal::kNone) {
-      for (StageRuntime* sender : ml->senders) {
-        sender->receive_downstream_exception(signal);
-      }
+    for (StageRuntime* sender : ml->senders) {
+      sender->adaptation().receive(signal);
     }
     if (obs::MetricsRegistry::global().enabled()) ml->sample_metrics();
   }
@@ -1682,7 +1497,11 @@ void SimEngine::set_migration_fault_injector(
 double SimEngine::parameter_value(std::size_t stage_index,
                                   const std::string& name) const {
   GATES_CHECK(stage_index < stages_.size());
-  return stages_[stage_index]->parameter_value(name);
+  StageRuntime& stage = *stages_[stage_index];
+  const AdjustmentParameter* p = stage.adaptation().parameter(name);
+  GATES_CHECK_MSG(p != nullptr, "no parameter '" + name + "' on stage '" +
+                                    stage.name() + "'");
+  return p->suggested_value();
 }
 
 }  // namespace gates::core

@@ -6,6 +6,8 @@
 #include <cmath>
 
 #include "gates/common/rng.hpp"
+#include "gates/core/pipeline.hpp"
+#include "gates/core/stage_adaptation.hpp"
 
 namespace gates::core::adapt {
 namespace {
@@ -307,6 +309,117 @@ TEST(ReplicaScaler, ValidationCatchesBadConfigs) {
   bad2.down_after = 0;
   EXPECT_THROW(ReplicaScaler(1, 4, bad2), std::logic_error);
   EXPECT_THROW(ReplicaScaler(3, 2, {}), std::logic_error);
+}
+
+// -- StageAdaptation (one stage's monitor -> scale -> Eq. 4 step) ------------
+
+StageSpec stateless_pool(std::size_t floor) {
+  StageSpec spec;
+  spec.name = "pool";
+  spec.parallelism.mode = ParallelismMode::kStateless;
+  spec.parallelism.replicas = floor;
+  return spec;
+}
+
+TEST(StageAdaptation, StatelessPoolScalesBeforeItPropagates) {
+  const StageSpec spec = stateless_pool(1);
+  StageAdaptation adaptation(spec, /*budget=*/3);
+  std::size_t replicas = 1;
+  TimePoint t = 0;
+  // A full queue: every overload buys a replica until the budget is spent,
+  // and only then reaches upstream.
+  LoadSignal propagated = LoadSignal::kNone;
+  for (int i = 0; i < 200 && propagated == LoadSignal::kNone; ++i) {
+    const auto out = adaptation.step(spec.monitor.capacity, replicas, t += 1,
+                                     true, {});
+    EXPECT_GE(out.replicas, replicas);
+    EXPECT_LE(out.replicas, 3u);
+    if (out.propagate != LoadSignal::kNone) EXPECT_EQ(replicas, 3u);
+    propagated = out.propagate;
+    replicas = out.replicas;
+  }
+  EXPECT_EQ(propagated, LoadSignal::kOverload);
+  EXPECT_EQ(replicas, 3u);
+  // An empty queue: the mirror image, down to the floor.
+  propagated = LoadSignal::kNone;
+  for (int i = 0; i < 500 && propagated == LoadSignal::kNone; ++i) {
+    const auto out = adaptation.step(0, replicas, t += 1, true, {});
+    EXPECT_LE(out.replicas, replicas);
+    EXPECT_GE(out.replicas, 1u);
+    if (out.propagate != LoadSignal::kNone) EXPECT_EQ(replicas, 1u);
+    propagated = out.propagate;
+    replicas = out.replicas;
+  }
+  EXPECT_EQ(propagated, LoadSignal::kUnderload);
+  EXPECT_EQ(replicas, 1u);
+}
+
+TEST(StageAdaptation, AdaptOffRecordsButMovesNothing) {
+  const StageSpec spec = stateless_pool(1);
+  StageAdaptation adaptation(spec, /*budget=*/3);
+  AdjustmentParameter& volume = adaptation.specify(volume_spec());
+  adaptation.receive(LoadSignal::kOverload);
+  std::size_t overloads = 0;
+  const int steps = 40;
+  for (int i = 0; i < steps; ++i) {
+    const auto out = adaptation.step(spec.monitor.capacity, 1, i, false, {});
+    EXPECT_EQ(out.replicas, 1u);
+    // The scaler is not consulted, so every exception still propagates.
+    if (out.propagate == LoadSignal::kOverload) ++overloads;
+  }
+  EXPECT_GT(overloads, 0u);
+  EXPECT_EQ(overloads, adaptation.monitor().overload_signals());
+  EXPECT_DOUBLE_EQ(volume.suggested_value(), 0.5);
+
+  StageReport report;
+  adaptation.fill(report);
+  ASSERT_EQ(report.parameter_trajectories.size(), 2u);
+  EXPECT_EQ(report.parameter_trajectories[0].first, "sampling-rate");
+  EXPECT_EQ(report.parameter_trajectories[1].first, "replicas");
+  for (const auto& [name, trajectory] : report.parameter_trajectories) {
+    EXPECT_EQ(trajectory.size(), static_cast<std::size_t>(steps)) << name;
+  }
+  for (const auto& [t, v] : report.parameter_trajectories[1].second) {
+    EXPECT_DOUBLE_EQ(v, 1.0);
+  }
+}
+
+TEST(StageAdaptation, SpecifyingANameTwiceReturnsTheSameParameter) {
+  const StageSpec spec;
+  StageAdaptation adaptation(spec, 1);
+  AdjustmentParameter& first = adaptation.specify(volume_spec());
+  AdjustmentParameter& second = adaptation.specify(volume_spec());
+  EXPECT_EQ(&first, &second);
+  EXPECT_EQ(adaptation.parameter("sampling-rate"), &first);
+  EXPECT_EQ(adaptation.parameter("no-such-parameter"), nullptr);
+  adaptation.clear_parameters();
+  EXPECT_EQ(adaptation.parameter("sampling-rate"), nullptr);
+}
+
+TEST(StageAdaptation, ReportCountsAreTheMonitors) {
+  const StageSpec spec;
+  StageAdaptation adaptation(spec, 1);
+  adaptation.specify(volume_spec());
+  TimePoint t = 0;
+  for (int i = 0; i < 30; ++i) {
+    adaptation.step(spec.monitor.capacity, 1, t += 1, true, {});
+  }
+  for (int i = 0; i < 60; ++i) adaptation.step(0, 1, t += 1, true, {});
+  adaptation.receive(LoadSignal::kOverload);
+  adaptation.receive(LoadSignal::kUnderload);
+  adaptation.receive(LoadSignal::kNone);  // nothing to receive
+
+  StageReport report;
+  adaptation.fill(report);
+  const QueueMonitor& monitor = adaptation.monitor();
+  EXPECT_GT(monitor.overload_signals(), 0u);
+  EXPECT_GT(monitor.underload_signals(), 0u);
+  EXPECT_EQ(report.overload_exceptions_sent, monitor.overload_signals());
+  EXPECT_EQ(report.underload_exceptions_sent, monitor.underload_signals());
+  EXPECT_EQ(report.exceptions_received, 2u);
+  EXPECT_EQ(report.queue_length.count(), 90u);
+  EXPECT_DOUBLE_EQ(report.final_normalized_dtilde,
+                   monitor.normalized_dtilde());
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 
 #include <memory>
 
+#include "gates/core/rt_engine.hpp"
 #include "gates/core/sim_engine.hpp"
+#include "gates/obs/trace.hpp"
 
 namespace gates::core {
 namespace {
@@ -245,6 +247,93 @@ TEST(Failover, RecoverySchedulingAfterRunIsAProgrammingError) {
   SimEngine engine(b.spec, b.placement, b.hosts, b.topology, {});
   ASSERT_TRUE(engine.run().is_ok());
   EXPECT_THROW(engine.schedule_node_recovery(1, 1.0), std::logic_error);
+}
+
+TEST(FailoverRt, CrashedStageRaisesNoExceptionsUntilRecovered) {
+  // source -> A (declares a parameter) -> B, where B serves 500 pkt/s
+  // against a 2000 pkt/s feed: B backs up past over_threshold and overloads
+  // A. When B's node dies, its closed inbox keeps the frozen backlog; a
+  // dead stage must not keep reporting it upstream through the lease.
+  class AdaptiveForwarder : public StreamProcessor {
+   public:
+    void init(ProcessorContext& ctx) override {
+      AdjustmentParameter::Spec s;
+      s.name = "volume";
+      s.initial = 1.0;
+      s.direction = ParamDirection::kIncreaseSlowsDown;
+      ctx.specify_parameter(s);
+    }
+    void process(const Packet& packet, Emitter& emitter) override {
+      emitter.emit(packet);
+    }
+    std::string name() const override { return "adaptive-forwarder"; }
+  };
+  PipelineSpec spec;
+  StageSpec a;
+  a.name = "A";
+  a.factory = [] { return std::make_unique<AdaptiveForwarder>(); };
+  a.input_capacity = 50;
+  StageSpec b;
+  b.name = "B";
+  b.factory = [] {
+    return std::make_unique<CountingProcessor>(nullptr, /*forward=*/false);
+  };
+  b.cost.per_packet_seconds = 0.002;
+  // Short inboxes keep the post-horizon drain short.
+  b.input_capacity = 50;
+  b.monitor.capacity = 50;
+  b.monitor.expected_length = 5;
+  b.monitor.over_threshold = 10;
+  b.monitor.under_threshold = 2;
+  spec.stages = {std::move(a), std::move(b)};
+  spec.edges = {{0, 1, 0}};
+  SourceSpec src;
+  src.rate_hz = 2000;
+  src.packet_bytes = 16;
+  spec.sources = {src};
+  Placement placement;
+  placement.stage_nodes = {0, 1};
+
+  RtEngine::Config config;
+  config.control_period = 0.02;
+  config.failover.enabled = true;
+  config.failover.heartbeat_period = 0.1;
+  config.failover.suspicion_beats = 3;  // a 0.3 s lease: ~15 control ticks
+  config.failover.replay_buffer_packets = 64;
+
+  obs::TraceBuffer& trace = obs::TraceBuffer::global();
+  const bool trace_was_enabled = trace.enabled();
+  trace.clear();
+  trace.set_enabled(true);
+  RtEngine engine(spec, placement, {}, {}, config);
+  engine.schedule_node_failure(1, 0.3);
+  const Status status = engine.run_for(1.0);
+  const std::vector<obs::TraceEvent> events = trace.events();
+  const std::uint64_t dropped = trace.dropped();
+  trace.set_enabled(trace_was_enabled);
+  trace.clear();
+  ASSERT_TRUE(status.is_ok());
+  ASSERT_EQ(dropped, 0u);
+  ASSERT_EQ(engine.report().failures.size(), 1u);
+  ASSERT_EQ(engine.report().failures[0].outcome,
+            FailureReport::Outcome::kRecovered);
+
+  enum { kBefore, kDown, kAfter } phase = kBefore;
+  std::size_t overloads_before = 0;
+  std::size_t overloads_down = 0;
+  for (const obs::TraceEvent& event : events) {
+    if (event.component != "B") continue;
+    if (event.kind == obs::TraceKind::kCrash) phase = kDown;
+    if (event.kind == obs::TraceKind::kRecovered) phase = kAfter;
+    if (event.kind != obs::TraceKind::kOverloadException) continue;
+    if (phase == kBefore) ++overloads_before;
+    if (phase == kDown) ++overloads_down;
+  }
+  EXPECT_EQ(phase, kAfter);
+  // The fixture did overload B while it was alive...
+  EXPECT_GT(overloads_before, 0u);
+  // ...and the crashed stage stayed silent until it was recovered.
+  EXPECT_EQ(overloads_down, 0u);
 }
 
 }  // namespace
