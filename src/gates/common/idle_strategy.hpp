@@ -8,10 +8,13 @@
 //
 //   spin      — busy-poll with cpu pauses (periodically yielding so a
 //               core-starved box still makes progress); never parks.
-//   balanced  — short pause-spin, then a few yields, then park (default:
-//               cheap wakes when traffic is streaming, no burn when idle).
-//   park      — yield once, then park immediately (the old behavior,
-//               minus one syscall in the streaming case).
+//   balanced  — short pause-spin, then a few yields, then park (cheap
+//               wakes when traffic streams back-to-back).
+//   park      — yield_limit yields, then park; with yield_limit 0 the
+//               first idle step parks.
+//
+// The engine default is for_host(): park at once when the thread may run
+// on more than one CPU, yield-then-park when it may run on one.
 //
 // Waiters drive it as:  IdleStrategy idle(cfg); while (!ready()) {
 // if (idle.should_park()) <condvar wait>; }  — reset() after progress.
@@ -54,16 +57,23 @@ struct IdleConfig {
   static IdleConfig balanced() { return {}; }
   static IdleConfig park() { return {kPark, 0, 1}; }
 
-  /// Balanced, adapted to the host: when the calling thread's affinity mask
-  /// allows one CPU (a 1-core box, `taskset -c 0`, a 1-CPU cpuset) the
-  /// pause phase is skipped entirely — every pause burns cycles the peer
-  /// thread needs to make the awaited progress, so the wait escalates
-  /// straight to yields (which hand the core over). Engines use this as
-  /// their default; tests that assert exact spin/yield/park sequences
-  /// construct explicit configs instead.
+  /// The engines' default, adapted to the calling thread's affinity mask.
+  ///
+  /// More than one CPU: park at once. Each thread then has a CPU to
+  /// itself, so a pause or a yield only burns that CPU while the producer
+  /// runs elsewhere; at stream rates the next burst is far beyond any spin,
+  /// and a parked consumer wakes to a whole batch instead of taking the
+  /// producer's publishes one at a time.
+  ///
+  /// One CPU (a 1-core box, `taskset -c 0`, a 1-CPU cpuset): 16 yields,
+  /// then park. A yield hands the core to the producer far more cheaply
+  /// than a futex wait and wake, and a pause only starves it.
+  ///
+  /// Tests that assert exact spin/yield/park sequences construct explicit
+  /// configs instead.
   static IdleConfig for_host() {
-    IdleConfig config;
-    if (hardware_core_count() <= 1) config.spin_limit = 0;
+    IdleConfig config = park();
+    config.yield_limit = hardware_core_count() > 1 ? 0 : 16;
     return config;
   }
 };

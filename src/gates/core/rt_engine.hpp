@@ -84,8 +84,9 @@ class RtEngine {
     Placement thread_placement;
     /// Idle behavior for hot-path waits: stage inbox full/empty and merge
     /// window backpressure (spin -> yield -> park; see idle_strategy.hpp).
-    /// Defaults to the host-adapted balanced mode (no pause-spinning on a
-    /// single-core box, where spinning starves the peer).
+    /// Defaults to the host-adapted park mode: park at once when threads
+    /// may use more than one CPU, yield 16 times first when they may use
+    /// one (where a yield hands the core to the peer more cheaply).
     IdleConfig idle = IdleConfig::for_host();
     /// Cross-process transport endpoints (gates_node deployments). An
     /// egress link turns the indexed stage into a remote outlet: drained

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <thread>
 
 #include "gates/common/clock.hpp"
 
@@ -224,7 +225,7 @@ StatusOr<RecvEvent> ShmRemoteLink::recv(double timeout_seconds) {
       return RecvEvent{};  // Kind::kNone
     }
     if (idler.should_park()) {
-      precise_sleep(0.00005);
+      std::this_thread::sleep_for(ShmRing::kParkSleep);
       idler.reset();
     }
   }

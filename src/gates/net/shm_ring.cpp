@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cerrno>
 #include <cstring>
+#include <thread>
 
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -164,10 +165,9 @@ Status ShmRing::write_gather(const iovec* iovs, int iov_count,
     std::size_t wrap_waste = 0;
     if (capacity_ - offset < need) wrap_waste = capacity_ - offset;
     if (used + wrap_waste + need > capacity_) {
-      // Full — no condvar crosses the process boundary, so the idle
-      // strategy degrades to a short sleep where it would normally park.
+      // Full: sleep where an in-process wait would park.
       if (idler.should_park()) {
-        precise_sleep(0.00005);
+        std::this_thread::sleep_for(kParkSleep);
         idler.reset();
       }
       continue;

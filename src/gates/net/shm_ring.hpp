@@ -15,6 +15,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -31,6 +32,9 @@ class ShmRing {
  public:
   static constexpr std::uint64_t kShmMagic = 0x5347544153454752ull;
   static constexpr std::uint32_t kWrapMarker = 0xFFFFFFFFu;
+  /// No condvar crosses the process boundary, so where an in-process wait
+  /// would park, a shm wait sleeps this long and polls again.
+  static constexpr std::chrono::microseconds kParkSleep{50};
 
   /// Lives at offset 0 of the mapping; the data region starts at
   /// sizeof(Header) (a 64-byte multiple — tail's alignas pads the tail).
@@ -57,9 +61,10 @@ class ShmRing {
   ShmRing(const ShmRing&) = delete;
   ShmRing& operator=(const ShmRing&) = delete;
 
-  /// Copies one record into the ring, blocking (IdleStrategy spins/yields)
-  /// while full. Fails invalid_argument if the record can never fit
-  /// (n > max_record_bytes()), unavailable if the peer closed the ring.
+  /// Copies one record into the ring, blocking while full (IdleStrategy
+  /// steps, with a kParkSleep sleep where it would park). Fails
+  /// invalid_argument if the record can never fit (n > max_record_bytes()),
+  /// unavailable if the peer closed the ring.
   Status write(const std::uint8_t* data, std::size_t n,
                const IdleConfig& idle);
   /// Gather variant: writes the iovec spans as one record, copying each

@@ -44,7 +44,7 @@ TEST(IdleStrategy, BalancedEscalatesSpinYieldPark) {
 
 TEST(IdleStrategy, BalancedWithZeroSpinSkipsStraightToYields) {
   IdleConfig config;
-  config.spin_limit = 0;  // the single-core for_host() shape
+  config.spin_limit = 0;
   config.yield_limit = 2;
   IdleStrategy idle(config);
   EXPECT_FALSE(idle.should_park());
@@ -61,18 +61,22 @@ TEST(IdleStrategy, ParkModeYieldsThenParks) {
   EXPECT_FALSE(idle.should_park());
 }
 
-TEST(IdleStrategy, ForHostIsBalancedAndDropsSpinOnSingleCore) {
+TEST(IdleStrategy, ForHostParksAtOnceOnMultiCpuHosts) {
   const IdleConfig config = IdleConfig::for_host();
-  EXPECT_EQ(config.mode, IdleConfig::kBalanced);
+  EXPECT_EQ(config.mode, IdleConfig::kPark);
   if (hardware_core_count() <= 1) {
-    EXPECT_EQ(config.spin_limit, 0u);
-  } else {
-    EXPECT_GT(config.spin_limit, 0u);
+    // Covered by ForHostDropsSpinWhenTheThreadMayUseOneCpu.
+    EXPECT_EQ(config.yield_limit, 16u);
+    return;
   }
+  EXPECT_EQ(config.yield_limit, 0u);
+  IdleStrategy idle(config);
+  EXPECT_TRUE(idle.should_park());
 }
 
 // A thread confined to one CPU (taskset -c 0, a 1-CPU cpuset) must not
-// pause-spin however many CPUs the machine has.
+// pause-spin however many CPUs the machine has: it yields 16 times, then
+// parks.
 TEST(IdleStrategy, ForHostDropsSpinWhenTheThreadMayUseOneCpu) {
 #if defined(__linux__)
   cpu_set_t saved;
@@ -88,6 +92,11 @@ TEST(IdleStrategy, ForHostDropsSpinWhenTheThreadMayUseOneCpu) {
   // as it found it.
   ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(saved), &saved), 0);
   EXPECT_EQ(config.spin_limit, 0u);
+  IdleStrategy idle(config);
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_FALSE(idle.should_park()) << "step " << i;
+  }
+  EXPECT_TRUE(idle.should_park());
 #else
   GTEST_SKIP() << "affinity masks are Linux-only";
 #endif

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
+#include <ctime>
 #include <string>
 #include <thread>
 #include <vector>
@@ -256,6 +258,32 @@ TEST(ShmRemoteLink, OversizeBatchSplitsAcrossFrames) {
     }
   }
   sender.join();
+}
+
+double thread_cpu_seconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// An idle link must sleep, not burn its thread's CPU, while recv() waits
+/// on an empty ring with the default idle config.
+TEST(ShmRemoteLink, IdleRecvSleepsInsteadOfSpinning) {
+  const std::string base = ring_name("idle");
+  auto server = ShmRemoteLink::serve(base, 0, "srv", 1u << 14);
+  ASSERT_TRUE(server.ok());
+  const auto wall_start = std::chrono::steady_clock::now();
+  const double cpu_start = thread_cpu_seconds();
+  auto ev = (*server)->recv(0.2);
+  const double cpu = thread_cpu_seconds() - cpu_start;
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - wall_start)
+                          .count();
+  ASSERT_TRUE(ev.ok());
+  EXPECT_EQ(ev->kind, RecvEvent::Kind::kNone);
+  EXPECT_GE(wall, 0.2);
+  EXPECT_LT(cpu, 0.5 * wall) << "cpu " << cpu << " s over " << wall << " s";
 }
 
 TEST(ShmRemoteLink, ReconnectIsUnsupported) {

@@ -63,7 +63,8 @@
 //                           <node cores="0,2,4-7"> lists when given, else a
 //                           contiguous partition of the allowed cores
 //   --idle MODE             hot-path wait behavior: spin | balanced | park
-//                           (default: balanced, host-adapted)
+//                           (default: park, host-adapted: at once on a
+//                           multi-CPU mask, after 16 yields on one CPU)
 #include <unistd.h>
 
 #include <algorithm>
