@@ -3,6 +3,7 @@
 // link simulation, XML parsing and one adaptation control step.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <thread>
@@ -292,6 +293,45 @@ void BM_StageInboxParkWake(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StageInboxParkWake)->UseRealTime();
+
+// The handoff that serving in place uses instead of a park→wake: the
+// producer pushes one item, claims the parked consumer's role, takes the
+// item on its own thread and releases — the consumer thread stays asleep.
+// Set beside BM_StageInboxParkWake's round trip. `served` is the share of
+// items taken in place (a claim fails only while the consumer is awake).
+void BM_StageInboxClaimServe(benchmark::State& state) {
+  core::StageInbox<int> inbox(64);
+  inbox.use_spsc();
+  inbox.set_idle(IdleConfig::park());
+  std::thread consumer([&] {
+    ScopedPin pin(1);
+    while (inbox.consume([](int&) {}, 1) != 0) {
+    }
+  });
+  ScopedPin pin(0);
+  std::vector<int> in;
+  int got = 0;
+  std::int64_t served = 0;
+  for (auto _ : state) {
+    in.assign(1, 1);
+    inbox.push_all(in, /*defer_wake=*/true);
+    if (inbox.try_claim()) {
+      served += static_cast<std::int64_t>(
+          inbox.consume_claimed([&](int& v) { got += v; }, 1));
+      inbox.release_claim();
+    } else {
+      inbox.wake_consumer();
+    }
+  }
+  inbox.close();
+  consumer.join();
+  benchmark::DoNotOptimize(got);
+  state.counters["served"] =
+      static_cast<double>(served) /
+      static_cast<double>(std::max<std::int64_t>(state.iterations(), 1));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StageInboxClaimServe)->UseRealTime();
 
 // Fan-out cost per downstream route: COW payload copies are refcount bumps,
 // independent of payload size — compare Arg(64) with Arg(4096).

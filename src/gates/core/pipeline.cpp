@@ -136,22 +136,6 @@ std::vector<EdgeSpec> PipelineSpec::edges_from(std::size_t stage) const {
   return out;
 }
 
-std::vector<EdgeSpec> PipelineSpec::edges_into(std::size_t stage) const {
-  std::vector<EdgeSpec> out;
-  for (const auto& edge : edges) {
-    if (edge.to_stage == stage) out.push_back(edge);
-  }
-  return out;
-}
-
-std::vector<std::size_t> PipelineSpec::sources_into(std::size_t stage) const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    if (sources[i].target_stage == stage) out.push_back(i);
-  }
-  return out;
-}
-
 std::size_t PipelineSpec::fan_in(std::size_t stage) const {
   std::size_t n = 0;
   for (const auto& src : sources) {

@@ -116,10 +116,6 @@ struct PipelineSpec {
 
   /// Downstream edges of one stage.
   std::vector<EdgeSpec> edges_from(std::size_t stage) const;
-  /// Upstream edges feeding one stage (failover rewires these).
-  std::vector<EdgeSpec> edges_into(std::size_t stage) const;
-  /// Indices into `sources` of the sources feeding one stage.
-  std::vector<std::size_t> sources_into(std::size_t stage) const;
   /// Number of inputs (source and stage edges) feeding one stage.
   std::size_t fan_in(std::size_t stage) const;
 };

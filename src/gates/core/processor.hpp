@@ -59,6 +59,12 @@ class ProcessorContext {
 /// for re-initializing state the crash lost (re-seeding sketches, asking
 /// peers for checkpoints, ...). Unacked input is then replayed at least
 /// once from the upstream retention buffers.
+///
+/// Threads (RtEngine): calls into one processor instance never overlap and
+/// each happens-after the previous one, but process() need not run on the
+/// same thread every time — an idle upstream stage may serve a zero-cost
+/// serial stage's batch on its own thread (DESIGN.md §5.5). Keep no
+/// thread-local state across calls.
 class StreamProcessor {
  public:
   virtual ~StreamProcessor() = default;

@@ -48,6 +48,7 @@ std::string RunReport::to_json() const {
         .kv("packets_emitted", s.packets_emitted)
         .kv("packets_dropped", s.packets_dropped)
         .kv("busy_time", s.busy_time)
+        .kv("inline_batches", s.inline_batches)
         .kv("overload_exceptions_sent", s.overload_exceptions_sent)
         .kv("underload_exceptions_sent", s.underload_exceptions_sent)
         .kv("exceptions_received", s.exceptions_received)

@@ -25,6 +25,9 @@ struct StageReport {
   std::uint64_t packets_emitted = 0;
   std::uint64_t packets_dropped = 0;
   Duration busy_time = 0;
+  /// RtEngine: batches an upstream stage's thread served in place while
+  /// this stage's worker stayed parked (its process() ran on that thread).
+  std::uint64_t inline_batches = 0;
   /// Queue length sampled once per control period.
   RunningStats queue_length;
   /// Per-packet latency from packet creation (at the source or the emitting

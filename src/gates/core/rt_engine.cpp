@@ -209,19 +209,20 @@ class RtEngine::Outlet {
 
   /// Resolves the per-run flags when the sending thread (re)starts.
   void arm(bool profile, bool tracer);
-  /// Queues one packet; returns what a batch-full flush could not deliver
+  /// Queues one packet; returns what a batch-full send could not deliver
   /// (see flush()). Takes an rvalue so a single-route emit moves its packet
   /// end to end. Forced inline: it runs per packet in every sending loop.
   [[gnu::always_inline]] std::size_t stage(Packet&& packet);
-  /// Sends the staged batch. Returns how many packets a closed (crashed or
-  /// force-stopped) destination refused: with retention they survive in
-  /// the channel and return via replay, without it they are lost.
-  std::size_t flush();
-  /// Settles the direct path's deferred consumer wakeup.
-  void wake();
+  /// Sends the staged batch and settles the deferred consumer wakeup.
+  /// Returns how many packets a closed (crashed or force-stopped)
+  /// destination refused: with retention they survive in the channel and
+  /// return via replay, without it they are lost. `idle`: the sending stage
+  /// is about to park, so it serves a parked destination in place instead
+  /// of waking it (StageWorker::serve_inline).
+  std::size_t flush(bool idle = false);
   /// EOS rides the shaper in FIFO order but is never subject to loss or
-  /// jitter — termination stays reliable on any link.
-  void send_eos(StreamId stream);
+  /// jitter — termination stays reliable on any link. `idle` as in flush().
+  void send_eos(StreamId stream, bool idle = false);
   /// Drops the staged batch (a pool restart discards half-staged outputs;
   /// their inputs were never acked, so upstream replay regenerates them).
   void discard();
@@ -238,12 +239,16 @@ class RtEngine::Outlet {
   std::shared_ptr<net::LinkShaper> shaper;
 
  private:
+  /// The staged batch's push, with its consumer wakeup left pending.
+  std::size_t send();
+  /// Settles the pending consumer wakeup: serve in place or wake.
+  void wake(bool idle);
   void flush_shaped();
 
   RtEngine* engine_;
   std::vector<FlowItem> items_;
   std::size_t wire_bytes_ = 0;
-  /// Direct-pushed packets awaiting the batched consumer wakeup.
+  /// Packets pushed since the last settled consumer wakeup.
   bool wake_pending_ = false;
   /// No shaper, no retention, no profiler stamping and an SPSC inbox. The
   /// throttle is re-checked per packet, so a mid-run rate change falls
@@ -564,7 +569,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
   /// open and intact.
   void request_quiesce() {
     quiesce_requested_.store(true, std::memory_order_release);
-    queue_.wake_consumer();  // don't wait out a full idle beat
+    queue_.kick();  // don't wait out a full idle beat
   }
   void cancel_quiesce() {
     quiesce_requested_.store(false, std::memory_order_release);
@@ -708,8 +713,10 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
 
   /// Flushes every route's staging and publishes the per-batch counter
   /// deltas (exact packet counts, one atomic add per counter per batch).
-  void flush_emits() {
-    for (Outlet& route : routes_) dropped_pending_ += route.flush();
+  /// `idle`: this stage's inbox is empty, so it serves parked destinations
+  /// in place (Outlet::flush).
+  void flush_emits(bool idle = false) {
+    for (Outlet& route : routes_) dropped_pending_ += route.flush(idle);
     if (emitted_pending_ != 0) {
       packets_emitted_.fetch_add(emitted_pending_, std::memory_order_relaxed);
       emitted_pending_ = 0;
@@ -718,6 +725,37 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
       packets_dropped_.fetch_add(dropped_pending_, std::memory_order_relaxed);
       dropped_pending_ = 0;
     }
+  }
+
+  /// Engine setup, before any thread exists: whether an upstream stage may
+  /// serve this one in place. Only a serial, local stage whose SPSC inbox
+  /// has one producer, and with a zero cost model: a modelled service time
+  /// stands for CPU on this stage's own node, so it must not sleep on an
+  /// upstream's thread.
+  void resolve_claimable() {
+    claimable_ = !pooled() && queue_.spsc() && remote_egress_ == nullptr &&
+                 spec_.cost.is_zero();
+  }
+
+  /// Called by the upstream stage that produces into this inbox when it is
+  /// about to park itself: if this stage's worker is parked, claims its
+  /// consumer role, serves one batch on the calling thread and hands the
+  /// role back, so the worker stays asleep. A terminal EOS served here
+  /// kicks the worker, which runs finish() on its own thread. Returns false
+  /// (the caller wakes the worker instead) when the stage is not claimable,
+  /// is migrating or crashed, or its worker is not parked.
+  bool serve_inline() {
+    if (!claimable_ || quiesce_requested_.load(std::memory_order_acquire) ||
+        crashed_.load(std::memory_order_acquire) || !queue_.try_claim()) {
+      return false;
+    }
+    const std::size_t n = serve_batch([&](auto&& f) {
+      return queue_.consume_claimed(f, max_batch_);
+    });
+    if (n != 0) inline_batches_.fetch_add(1, std::memory_order_relaxed);
+    if (stop_after_flush_) queue_.kick();
+    queue_.release_claim();
+    return true;
   }
 
   // -- ProcessorContext --------------------------------------------------------
@@ -753,7 +791,8 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
         d, scale_target_.load(std::memory_order_relaxed), clock_.now(), adapt,
         {packets_processed_.load(std::memory_order_relaxed),
          packets_emitted_.load(std::memory_order_relaxed),
-         packets_dropped_.load(std::memory_order_relaxed)});
+         packets_dropped_.load(std::memory_order_relaxed),
+         inline_batches_.load(std::memory_order_relaxed)});
     scale_target_.store(out.replicas, std::memory_order_release);
     if (pooled() && obs::MetricsRegistry::global().enabled()) {
       publish_pool_metrics();
@@ -793,6 +832,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     r.packets_dropped = packets_dropped_.load(std::memory_order_relaxed);
     r.busy_time = busy_time_;
     r.packet_latency = latency_;
+    r.inline_batches = inline_batches_.load(std::memory_order_relaxed);
     adaptation_.fill(r);
     if (pooled()) {
       r.final_replicas = active_replicas_.load(std::memory_order_relaxed);
@@ -920,12 +960,46 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     }
   }
 
+  /// One batch of the serial stage, on its worker thread or on an upstream
+  /// thread that holds the inbox claim (serve_inline): `take(f)` consumes
+  /// up to max_batch_ items, each serviced in place (in the ring slots on
+  /// an SPSC inbox); then the counters are published, the outputs flushed
+  /// — serving parked destinations in place when the inbox is now empty —
+  /// and only then the inputs acked. Returns the items consumed; a crash
+  /// skips the epilogue (upstream retention still holds every unacked
+  /// input, so nothing is lost).
+  template <typename Take>
+  std::size_t serve_batch(Take&& take) {
+    Tally tally;
+    const std::size_t n = take([&](FlowItem& item) {
+      // Tail items after a terminal EOS (or a crash) are dropped unacked;
+      // upstream retention still holds them.
+      if (stop_after_flush_ || crashed_.load(std::memory_order_acquire)) {
+        return;
+      }
+      charge_inbox_wait(item.queued_at, tally);
+      Packet& packet = item.packet;
+      if (!service_one(packet, item.queued_at, busy_time_, tally)) return;
+      if (item.origin != nullptr) {
+        pending_acks_.push_back({item.origin, item.seq});
+      }
+      if (!packet.is_eos()) {
+        processor_->process(packet, *this);
+      } else if (eos_received_ >= eos_expected_) {
+        stop_after_flush_ = true;
+      }
+    });
+    if (n == 0 || crashed_.load(std::memory_order_acquire)) return n;
+    publish_tally(tally);
+    flush_emits(queue_.size() == 0);
+    ack_grouped(pending_acks_);
+    return n;
+  }
+
   /// The serial stage loop, for every failover, profiler and inbox-mode
-  /// setting: each consumed batch is serviced in place (in the ring slots
-  /// on an SPSC inbox), then its counters are published, its outputs
-  /// flushed and only then its inputs acked. With failover on the consume
-  /// is timed, so the heartbeat advances even while idle (an idle beat
-  /// returns 0 with the inbox still open).
+  /// setting: one serve_batch per consumed batch. With failover on the
+  /// consume is timed, so the heartbeat advances even while idle (an idle
+  /// beat returns 0 with the inbox still open).
   void run_loop() {
     if (!pin_cores_.empty()) pin_current_thread_to_core(pin_cores_[0]);
     if (remote_egress_) return run_loop_remote_egress();
@@ -933,8 +1007,8 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     const bool failover = engine_.config_.failover.enabled;
     const double wait =
         failover ? engine_.config_.failover.heartbeat_period : -1.0;
-    bool stop_after_flush = false;
-    while (!stop_after_flush) {
+    stop_after_flush_ = false;
+    while (!stop_after_flush_) {
       // Migration quiesce: the previous batch's effects are flushed and
       // acked, so this is an exact ack boundary. Park here with the inbox
       // open and intact; the control thread owns the handshake from now on.
@@ -943,42 +1017,17 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
         return;
       }
       if (failover) last_beat_.store(clock_.now(), std::memory_order_release);
-      Tally tally;
-      const std::size_t n = queue_.consume(
-          [&](FlowItem& item) {
-            // Tail items after a terminal EOS (or a crash) are dropped
-            // unacked; upstream retention still holds them.
-            if (stop_after_flush || crashed_.load(std::memory_order_acquire)) {
-              return;
-            }
-            charge_inbox_wait(item.queued_at, tally);
-            Packet& packet = item.packet;
-            if (!service_one(packet, item.queued_at, busy_time_, tally)) return;
-            if (item.origin != nullptr) {
-              pending_acks_.push_back({item.origin, item.seq});
-            }
-            if (!packet.is_eos()) {
-              processor_->process(packet, *this);
-            } else if (eos_received_ >= eos_expected_) {
-              stop_after_flush = true;
-            }
-          },
-          max_batch_, wait);
-      // Crash-stop: exit without flushing, acking, or sending EOS. Batched
-      // effects not yet flushed are simply dropped; upstream retention
-      // still holds every unacked input, so nothing is lost.
+      const std::size_t n = serve_batch(
+          [&](auto&& f) { return queue_.consume(f, max_batch_, wait); });
+      // Crash-stop: exit without flushing, acking, or sending EOS.
       if (crashed_.load(std::memory_order_acquire)) return;
-      if (n == 0) {
-        if (queue_.closed()) break;  // closed and drained, or force-stopped
-        continue;                    // idle beat
-      }
-      publish_tally(tally);
-      flush_emits();
-      ack_grouped(pending_acks_);
+      // Closed and drained, or force-stopped; 0 is otherwise an idle beat
+      // or a kick (quiesce, or a terminal EOS served in place).
+      if (n == 0 && queue_.closed()) break;
     }
     // Either all upstreams ended or the queue was force-closed; flush.
     processor_->finish(*this);
-    flush_emits();
+    flush_emits(true);
     finish_stage();
   }
 
@@ -1321,7 +1370,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
   /// the finished flag. A pool runs it once, from whichever releaser pops
   /// the final finish() completion.
   void finish_stage() {
-    for (Outlet& route : routes_) route.send_eos(0);
+    for (Outlet& route : routes_) route.send_eos(0, !pooled());
     GATES_TRACE(.time = clock_.now(), .kind = obs::TraceKind::kStageFinished,
                 .component = spec_.name);
     finished_.store(true, std::memory_order_release);
@@ -1425,6 +1474,11 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
   bool in_init_ = false;
   std::size_t eos_expected_ = 0;
   std::size_t eos_received_ = 0;
+  /// Set by the batch that consumes the terminal EOS, on whichever thread
+  /// serves it; the worker then finishes the stage.
+  bool stop_after_flush_ = false;
+  /// See resolve_claimable(); set at setup, read-only afterwards.
+  bool claimable_ = false;
   std::atomic<bool> finished_{false};
   std::atomic<bool> crashed_{false};
   /// Migration quiesce handshake (control thread <-> worker threads).
@@ -1457,6 +1511,8 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
   std::atomic<std::uint64_t> bytes_processed_{0};
   std::atomic<std::uint64_t> packets_emitted_{0};
   std::atomic<std::uint64_t> packets_dropped_{0};
+  /// Batches an upstream thread served in place (serve_inline).
+  std::atomic<std::uint64_t> inline_batches_{0};
   // Stage thread only, read after join().
   Duration busy_time_ = 0;
   RunningStats latency_;
@@ -1585,26 +1641,32 @@ inline std::size_t RtEngine::Outlet::stage(Packet&& packet) {
   wire_bytes_ += engine_->config_.wire.wire_size(packet.payload_bytes(),
                                                  packet.records);
   items_.push_back({std::move(packet), nullptr, 0});
-  return items_.size() >= engine_->config_.batching.max_batch ? flush() : 0;
+  return items_.size() >= engine_->config_.batching.max_batch ? send() : 0;
 }
 
-inline void RtEngine::Outlet::wake() {
+inline void RtEngine::Outlet::wake(bool idle) {
   if (wake_pending_) {
     wake_pending_ = false;
-    dest->queue().wake_consumer();
+    if (!idle || !dest->serve_inline()) dest->queue().wake_consumer();
   }
 }
 
-inline std::size_t RtEngine::Outlet::flush() {
-  // Settle the deferred wakeup first: the blocking push below may park
-  // this thread, and a consumer that slept through un-woken direct pushes
-  // would deadlock against it.
-  wake();
+inline std::size_t RtEngine::Outlet::flush(bool idle) {
+  const std::size_t refused = send();
+  wake(idle);
+  return refused;
+}
+
+inline std::size_t RtEngine::Outlet::send() {
   if (items_.empty()) return 0;
   if (shaper != nullptr) {
     flush_shaped();
     return 0;
   }
+  // A throttled acquire may sleep: wake the consumer for what it already
+  // holds first. push_all settles it likewise before parking on a full
+  // ring.
+  if (!gate->unthrottled()) wake(false);
   gate->acquire(wire_bytes_);
   wire_bytes_ = 0;
   if (profile_) {
@@ -1624,7 +1686,9 @@ inline std::size_t RtEngine::Outlet::flush() {
   if (channel) channel->retain_batch(items_);
   // Blocking push: a full downstream buffer backpressures this thread.
   const std::size_t n = items_.size();
-  const std::size_t refused = n - dest->queue().push_all(items_);
+  const std::size_t refused =
+      n - dest->queue().push_all(items_, /*defer_wake=*/true);
+  wake_pending_ |= refused != n;
   if (refused != 0) {
     GATES_TRACE(.time = engine_->clock_.now(),
                 .kind = obs::TraceKind::kPacketDrop,
@@ -1690,7 +1754,7 @@ void RtEngine::Outlet::flush_shaped() {
   shaper->deliver_after(extra, transit.get(), transit->check_in(items_));
 }
 
-void RtEngine::Outlet::send_eos(StreamId stream) {
+void RtEngine::Outlet::send_eos(StreamId stream, bool idle) {
   gate->acquire(engine_->config_.wire.per_message_overhead);
   FlowItem item{Packet::eos(stream, engine_->clock_.now()), nullptr, 0};
   if (channel) {
@@ -1702,6 +1766,10 @@ void RtEngine::Outlet::send_eos(StreamId stream) {
     StageWorker* to = dest;
     shaper->deliver_in_order(
         [to, shared] { to->queue().push(std::move(*shared)); });
+  } else if (dest->queue().try_produce(
+                 [&](FlowItem& slot) { slot = std::move(item); })) {
+    wake_pending_ = true;
+    wake(idle);
   } else {
     dest->queue().push(std::move(item));
   }
@@ -2278,7 +2346,10 @@ Status RtEngine::setup() {
     }
     sources_[idx]->set_remote_ingress(link);
   }
-  for (auto& stage : stages_) stage->init();
+  for (auto& stage : stages_) {
+    stage->resolve_claimable();
+    stage->init();
+  }
   setup_done_ = true;
   return Status::ok();
 }

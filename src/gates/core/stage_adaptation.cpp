@@ -118,6 +118,7 @@ void StageAdaptation::publish(double backlog, const Counts& counts) {
     processed_ctr_ = &reg.counter("gates_stage_packets_processed", labels);
     emitted_ctr_ = &reg.counter("gates_stage_packets_emitted", labels);
     dropped_ctr_ = &reg.counter("gates_stage_packets_dropped", labels);
+    inline_ctr_ = &reg.counter("gates_stage_inline_batches_total", labels);
     overload_ctr_ = &reg.counter("gates_stage_overload_exceptions", labels);
     underload_ctr_ = &reg.counter("gates_stage_underload_exceptions", labels);
     received_ctr_ = &reg.counter("gates_stage_exceptions_received", labels);
@@ -129,6 +130,7 @@ void StageAdaptation::publish(double backlog, const Counts& counts) {
   processed_ctr_->set(counts.processed);
   emitted_ctr_->set(counts.emitted);
   dropped_ctr_->set(counts.dropped);
+  inline_ctr_->set(counts.inline_batches);
   overload_ctr_->set(monitor_.overload_signals());
   underload_ctr_->set(monitor_.underload_signals());
   received_ctr_->set(exceptions_received_);

@@ -26,6 +26,7 @@ class StageAdaptation {
     std::uint64_t processed = 0;
     std::uint64_t emitted = 0;
     std::uint64_t dropped = 0;
+    std::uint64_t inline_batches = 0;
   };
   struct Outcome {
     /// Exception for the upstream stages; kNone when none fired or the
@@ -80,6 +81,7 @@ class StageAdaptation {
   obs::Counter* processed_ctr_ = nullptr;
   obs::Counter* emitted_ctr_ = nullptr;
   obs::Counter* dropped_ctr_ = nullptr;
+  obs::Counter* inline_ctr_ = nullptr;
   obs::Counter* overload_ctr_ = nullptr;
   obs::Counter* underload_ctr_ = nullptr;
   obs::Counter* received_ctr_ = nullptr;

@@ -20,12 +20,24 @@
 // Sleep/wake protocol (SPSC mode): pushes and pops are lock-free; a side
 // that finds the ring full (producer) or empty (consumer) first runs its
 // IdleStrategy (spin→yield per the configured mode), and only when that
-// says to park does it register itself in a waiting flag, re-check, and
-// sleep on a condvar. The opposite side publishes its batch, issues a
-// seq_cst fence, and only takes the wakeup mutex when the flag says someone
-// is actually asleep — so the steady-state path never touches the mutex,
-// and the store(batch)/load(flag) vs store(flag)/load(batch) races that
-// would lose a wakeup are fenced out.
+// says to park does it register itself, re-check, and sleep on a condvar.
+// The opposite side publishes its batch, issues a seq_cst fence, and only
+// takes the wakeup mutex when the peer is actually asleep — so the
+// steady-state path never touches the mutex, and the store(batch)/load(flag)
+// vs store(flag)/load(batch) races that would lose a wakeup are fenced out.
+//
+// Serving in place (SPSC mode): the consumer registers its park by storing
+// kParked in an owner word. While it sleeps, the producer may take the
+// consumer role itself instead of waking it: try_claim() is a CAS
+// kParked → kClaimed, the claim holder reads through consume_claimed() with
+// the same in-place take as the worker, and release_claim() stores kParked
+// again, notifying the worker only if ring items, aux items, close or a kick
+// are pending. The CAS orders the worker's and the claim holder's access to
+// the consumer-side state (mutual exclusion plus happens-before). A worker
+// woken by a notify, a timeout or close while a claim is in progress waits
+// it out (kReclaim), and the release hands the role straight back to it.
+// kick() wakes a parked consumer with nothing to consume: its consume()
+// returns 0. Mutex mode has no claim and ignores kicks.
 #pragma once
 
 #include <atomic>
@@ -76,8 +88,10 @@ class StageInbox {
 
   /// Pushes every item, blocking as space frees. Returns the number pushed
   /// (< items.size() iff closed mid-way). On full success `items` is left
-  /// cleared.
-  std::size_t push_all(std::vector<T>& items) {
+  /// cleared. `defer_wake` (SPSC mode) leaves the consumer wakeup to the
+  /// caller's wake_consumer() or serve-in-place, as try_produce() does;
+  /// a push that has to park on a full ring still wakes the consumer first.
+  std::size_t push_all(std::vector<T>& items, bool defer_wake = false) {
     if (ring_ == nullptr) return queue_.push_all(items);
     std::size_t pushed = 0;
     IdleStrategy idle(idle_);
@@ -86,13 +100,14 @@ class StageInbox {
       const std::size_t n = ring_->try_push_n(items, pushed);
       pushed += n;
       if (n != 0) {
-        wake(consumer_waiting_, not_empty_);
+        if (!defer_wake) wake_consumer();
         idle.reset();
         continue;
       }
       // Ring full: spin/yield per the idle mode, then park until the
-      // consumer frees slots.
+      // consumer frees slots — after waking it, or both sides sleep.
       if (!idle.should_park()) continue;
+      wake_consumer();
       std::unique_lock<std::mutex> lock(sleep_mu_);
       producer_waiting_.store(true, std::memory_order_relaxed);
       std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -123,9 +138,57 @@ class StageInbox {
     return ring_->try_produce(fill);
   }
 
-  /// Pairs with try_produce(): one fence + parked-flag check covering every
+  /// Pairs with try_produce(): one fence + parked check covering every
   /// un-woken push since the last call.
-  void wake_consumer() { wake(consumer_waiting_, not_empty_); }
+  void wake_consumer() {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (owner_.load(std::memory_order_relaxed) == kParked) {
+      std::lock_guard<std::mutex> lock(sleep_mu_);
+      not_empty_.notify_all();
+    }
+  }
+
+  /// Wakes a parked consumer with nothing to consume: its consume() returns
+  /// 0 (a kick that lands while it runs is taken at its next park).
+  void kick() {
+    kick_.store(true);
+    wake_consumer();
+  }
+
+  // -- serving in place (the single producer, SPSC mode) ----------------------
+
+  /// Takes the consumer role while the worker is parked. On success the
+  /// caller consumes with consume_claimed() and must release_claim().
+  bool try_claim() {
+    std::uint8_t parked = kParked;
+    return ring_ != nullptr &&
+           owner_.load(std::memory_order_relaxed) == kParked &&
+           owner_.compare_exchange_strong(parked, kClaimed);
+  }
+
+  /// consume() for the claim holder: never blocks, and wakes no producer
+  /// (the claim holder is the producer).
+  template <typename F>
+  std::size_t consume_claimed(F&& f, std::size_t max) {
+    return take_in_place(f, max);
+  }
+
+  /// Hands the consumer role back: straight to a worker that woke during
+  /// the claim, else to the parked worker, woken only if it has work.
+  void release_claim() {
+    std::uint8_t claimed = kClaimed;
+    if (!owner_.compare_exchange_strong(claimed, kParked)) {
+      owner_.store(kRunning);  // kReclaim: the worker is waiting it out
+    } else {
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      if (ring_->empty() && aux_size_.load() == 0 && !closed_.load() &&
+          !kick_.load()) {
+        return;
+      }
+    }
+    std::lock_guard<std::mutex> lock(sleep_mu_);
+    not_empty_.notify_all();
+  }
 
   /// Control-plane push from any thread (replay re-injection, EOS on a
   /// crashed stage's behalf). Never blocks in SPSC mode; returns false iff
@@ -136,9 +199,9 @@ class StageInbox {
       std::lock_guard<std::mutex> lock(aux_mu_);
       if (closed_.load(std::memory_order_acquire)) return false;
       aux_.push_back(std::move(item));
-      aux_size_.store(aux_.size(), std::memory_order_release);
+      aux_size_.store(aux_.size());
     }
-    wake(consumer_waiting_, not_empty_);
+    wake_consumer();
     return true;
   }
 
@@ -149,11 +212,12 @@ class StageInbox {
   /// batch vector); mutex mode and aux items go through a consumer-owned
   /// scratch vector, filled under the lock and handed to `f` outside it, so
   /// `f` may block (emit downstream) without stalling producers. Blocks
-  /// until at least one item is handled or the inbox is closed and empty
-  /// (returns 0). `timeout_seconds < 0` spins/yields per the idle mode and
-  /// then parks untimed; `>= 0` skips the spin (failover beats and egress
-  /// polls bound latency by the timeout anyway) and parks at most that
-  /// long, returning 0 on timeout too (check closed() to tell them apart).
+  /// until at least one item is handled, the inbox is closed and empty, or
+  /// a kick lands (the last two return 0). `timeout_seconds < 0` spins/yields
+  /// per the idle mode and then parks untimed; `>= 0` skips the spin
+  /// (failover beats and egress polls bound latency by the timeout anyway)
+  /// and parks at most once, that long, returning 0 on timeout too (check
+  /// closed() to tell them apart).
   template <typename F>
   std::size_t consume(F&& f, std::size_t max, double timeout_seconds = -1.0) {
     if (ring_ == nullptr) {
@@ -166,44 +230,21 @@ class StageInbox {
       return n;
     }
     std::size_t n = take_in_place(f, max);
-    if (n != 0) {
-      wake(producer_waiting_, not_full_);
-      return n;
-    }
-    if (timeout_seconds < 0) {
+    if (n == 0 && timeout_seconds < 0) {
       IdleStrategy idle(idle_);
-      while (!idle.should_park()) {
+      while (n == 0 && !idle.should_park() &&
+             !closed_.load(std::memory_order_acquire)) {
         n = take_in_place(f, max);
-        if (n != 0) {
-          wake(producer_waiting_, not_full_);
-          return n;
-        }
-        if (closed_.load(std::memory_order_acquire)) return 0;
       }
     }
-    {
-      std::unique_lock<std::mutex> lock(sleep_mu_);
-      consumer_waiting_.store(true, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      // The predicate only peeks at sizes: `f` must not run under sleep_mu_
-      // (it may park on a downstream inbox). Items seen by the predicate
-      // can only be removed by this thread, so the post-unlock take below
-      // comes up empty only on close or timeout.
-      auto ready = [&] {
-        return !ring_->empty() ||
-               aux_size_.load(std::memory_order_acquire) != 0 ||
-               closed_.load(std::memory_order_acquire);
-      };
-      if (timeout_seconds < 0) {
-        not_empty_.wait(lock, ready);
-      } else {
-        not_empty_.wait_for(
-            lock, std::chrono::duration<double>(timeout_seconds), ready);
-      }
-      consumer_waiting_.store(false, std::memory_order_relaxed);
+    // A claim holder may take the input that woke the worker, so an untimed
+    // consume that comes back empty-handed parks again. A closed inbox
+    // parks not at all, and the take after it drains what close() left.
+    for (bool again = true; n == 0 && again;) {
+      again = park(timeout_seconds);
+      n = take_in_place(f, max);
     }
-    n = take_in_place(f, max);
-    if (n != 0) wake(producer_waiting_, not_full_);
+    if (n != 0) wake_producer();
     return n;
   }
 
@@ -211,7 +252,10 @@ class StageInbox {
 
   /// Wakes all waiters; subsequent pushes fail, drains empty what remains.
   void close() {
-    closed_.store(true, std::memory_order_release);
+    closed_.store(true);
+    // Pairs with release_claim(): a worker asleep behind a claim is woken
+    // by whichever side sees the other's store.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     queue_.close();
     if (ring_ != nullptr) {
       std::lock_guard<std::mutex> lock(sleep_mu_);
@@ -235,6 +279,8 @@ class StageInbox {
       aux_.clear();
       aux_size_.store(0, std::memory_order_release);
     }
+    owner_.store(kRunning);
+    kick_.store(false);
     closed_.store(false, std::memory_order_release);
     if (ring_ != nullptr) {
       std::lock_guard<std::mutex> lock(sleep_mu_);
@@ -256,6 +302,9 @@ class StageInbox {
   }
 
  private:
+  /// Who holds the SPSC consumer role (see the header comment).
+  enum : std::uint8_t { kRunning, kParked, kClaimed, kReclaim };
+
   /// consume()'s lock-free grab: ring items in place, then aux via scratch.
   template <typename F>
   std::size_t take_in_place(F& f, std::size_t max) {
@@ -267,7 +316,7 @@ class StageInbox {
           scratch_.push_back(std::move(aux_.front()));
           aux_.pop_front();
         }
-        aux_size_.store(aux_.size(), std::memory_order_release);
+        aux_size_.store(aux_.size());
       }
       for (T& item : scratch_) f(item);
       n += scratch_.size();
@@ -276,13 +325,44 @@ class StageInbox {
     return n;
   }
 
-  /// Post-publish wakeup: fence so the just-published batch and the flag
-  /// read can't reorder, then notify only if the peer is actually asleep.
-  void wake(std::atomic<bool>& peer_waiting, std::condition_variable& cv) {
+  /// Parks the worker until input, close, a kick, a release with work
+  /// pending or the timeout, then takes the consumer role back, waiting out
+  /// a claim in progress. Returns whether an untimed consume that finds
+  /// nothing should park again (not once kicked or closed).
+  bool park(double timeout_seconds) {
+    std::unique_lock<std::mutex> lock(sleep_mu_);
+    owner_.store(kParked);
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (peer_waiting.load(std::memory_order_relaxed)) {
+    // The predicate only peeks at sizes: `f` must not run under sleep_mu_
+    // (it may park on a downstream inbox).
+    auto ready = [&] {
+      return owner_.load() != kClaimed &&
+             (!ring_->empty() || aux_size_.load() != 0 || closed_.load() ||
+              kick_.load());
+    };
+    if (timeout_seconds < 0) {
+      not_empty_.wait(lock, ready);
+    } else {
+      not_empty_.wait_for(lock, std::chrono::duration<double>(timeout_seconds),
+                          ready);
+    }
+    for (std::uint8_t s = kParked; !owner_.compare_exchange_strong(s, kRunning);
+         s = kParked) {
+      if (s == kClaimed && owner_.compare_exchange_strong(s, kReclaim)) {
+        not_empty_.wait(lock, [&] { return owner_.load() == kRunning; });
+        break;
+      }
+    }
+    const bool kicked = kick_.load() && kick_.exchange(false);
+    return timeout_seconds < 0 && !kicked && !closed_.load();
+  }
+
+  /// Post-pop wakeup of a producer parked on a full ring.
+  void wake_producer() {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (producer_waiting_.load(std::memory_order_relaxed)) {
       std::lock_guard<std::mutex> lock(sleep_mu_);
-      cv.notify_all();
+      not_full_.notify_all();
     }
   }
 
@@ -290,13 +370,15 @@ class StageInbox {
   BoundedQueue<T> queue_;  // mutex mode (also holds capacity semantics)
 
   // SPSC mode state; unused (ring_ == nullptr) in mutex mode. Read-mostly
-  // fields (ring_, idle_, closed_) share a line; the waiting flags each get
-  // their own line because the *peer* polls them on every publish — a flag
-  // sharing a line with state its owner writes per-batch would ping-pong.
+  // fields (ring_, idle_, closed_) share a line; the owner word and the
+  // producer's waiting flag each get their own line because the *peer*
+  // polls them on every publish — a flag sharing a line with state its
+  // owner writes per-batch would ping-pong.
   std::unique_ptr<SpscRing<T>> ring_;
   IdleConfig idle_;
   std::atomic<bool> closed_{false};
-  alignas(detail::kCacheLine) std::atomic<bool> consumer_waiting_{false};
+  alignas(detail::kCacheLine) std::atomic<std::uint8_t> owner_{kRunning};
+  std::atomic<bool> kick_{false};
   alignas(detail::kCacheLine) std::atomic<bool> producer_waiting_{false};
   alignas(detail::kCacheLine) std::mutex sleep_mu_;
   std::condition_variable not_empty_;
@@ -309,7 +391,7 @@ class StageInbox {
 };
 
 static_assert(alignof(StageInbox<int>) == detail::kCacheLine,
-              "waiting flags must not share a cache line across sides");
+              "the owner word and the producer's flag must not share a line");
 
 /// Order-preserving merge window for a replicated stage.
 ///

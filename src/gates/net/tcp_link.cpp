@@ -133,18 +133,6 @@ std::shared_ptr<TcpRemoteLink> TcpRemoteLink::dial(
   return link;
 }
 
-std::shared_ptr<TcpRemoteLink> TcpRemoteLink::adopt(int fd,
-                                                    std::uint32_t channel,
-                                                    std::string name) {
-  auto link = std::shared_ptr<TcpRemoteLink>(new TcpRemoteLink());
-  link->fd_ = fd;
-  link->channel_id_ = channel;
-  link->name_ = std::move(name);
-  set_nodelay(fd);
-  (void)set_nonblocking(fd);
-  return link;
-}
-
 TcpRemoteLink::~TcpRemoteLink() { close(); }
 
 Status TcpRemoteLink::ensure_connected(double timeout_seconds) {

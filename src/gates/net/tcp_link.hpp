@@ -62,11 +62,6 @@ class TcpRemoteLink final : public RemoteLink {
                                              double connect_timeout_seconds =
                                                  30.0);
 
-  /// Adopts an already-connected fd (the daemon control plane accepts one
-  /// connection and speaks RPC over it).
-  static std::shared_ptr<TcpRemoteLink> adopt(int fd, std::uint32_t channel,
-                                              std::string name);
-
   ~TcpRemoteLink() override;
 
   Status send_data(std::vector<wire::WirePacket>& batch) override;

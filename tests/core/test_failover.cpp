@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <utility>
 
+#include "gates/common/serialize.hpp"
 #include "gates/core/rt_engine.hpp"
 #include "gates/core/sim_engine.hpp"
 #include "gates/obs/trace.hpp"
@@ -247,6 +250,130 @@ TEST(Failover, RecoverySchedulingAfterRunIsAProgrammingError) {
   SimEngine engine(b.spec, b.placement, b.hosts, b.topology, {});
   ASSERT_TRUE(engine.run().is_ok());
   EXPECT_THROW(engine.schedule_node_recovery(1, 1.0), std::logic_error);
+}
+
+// -- a crash in the middle of a chain -----------------------------------------
+
+/// Stateless transform: the output carries a hash of its input's sequence,
+/// so replay may repeat an output but never change one.
+class Stamp : public StreamProcessor {
+ public:
+  void init(ProcessorContext&) override {}
+  void process(const Packet& packet, Emitter& emitter) override {
+    Packet out = packet;
+    ByteBuffer payload;
+    Serializer s(payload);
+    s.write_u64(packet.sequence * 0x9e3779b97f4a7c15ULL);
+    out.payload = std::move(payload);
+    emitter.emit(std::move(out));
+  }
+  std::string name() const override { return "stamp"; }
+};
+
+/// Collects the distinct (sequence, payload word) pairs it receives.
+class SetSink : public StreamProcessor {
+ public:
+  void init(ProcessorContext&) override {}
+  void process(const Packet& packet, Emitter&) override {
+    ++received_;
+    std::uint64_t word = 0;
+    for (std::size_t i = 0; i < packet.payload.size() && i < 8; ++i) {
+      word |= static_cast<std::uint64_t>(packet.payload.data()[i]) << (8 * i);
+    }
+    seen_.emplace(packet.sequence, word);
+  }
+  std::string name() const override { return "set-sink"; }
+
+  std::uint64_t received_ = 0;
+  std::set<std::pair<std::uint64_t, std::uint64_t>> seen_;
+};
+
+/// source -> A (node 1) -> B (node 2) -> C (node 0); node 3 is spare. A is a
+/// zero-cost forwarder, so on the real-time engine its idle worker serves B
+/// in place.
+Built mid_chain(std::uint64_t packets, double rate) {
+  Built b;
+  StageSpec a;
+  a.name = "A";
+  a.factory = [] { return std::make_unique<CountingProcessor>(); };
+  StageSpec mid;
+  mid.name = "B";
+  mid.factory = [] { return std::make_unique<Stamp>(); };
+  StageSpec sink;
+  sink.name = "C";
+  sink.factory = [] { return std::make_unique<SetSink>(); };
+  b.spec.stages = {std::move(a), std::move(mid), std::move(sink)};
+  b.spec.edges = {{0, 1, 0}, {1, 2, 0}};
+  SourceSpec src;
+  src.rate_hz = rate;
+  src.total_packets = packets;
+  src.packet_bytes = 16;
+  src.location = 1;
+  b.spec.sources = {src};
+  b.placement.stage_nodes = {1, 2, 0};
+  b.hosts.cpu_factor = {1.0, 1.0, 1.0, 1.0};
+  return b;
+}
+
+TEST(Failover, MidChainCrashReplaysIntoTheRevivedStage) {
+  auto base = mid_chain(1000, 100);
+  SimEngine clean(base.spec, base.placement, base.hosts, base.topology,
+                  failover_config(4096));
+  ASSERT_TRUE(clean.run().is_ok());
+  const auto& expected = dynamic_cast<SetSink&>(clean.processor(2)).seen_;
+  ASSERT_EQ(expected.size(), 1000u);
+
+  auto b = mid_chain(1000, 100);
+  SimEngine engine(b.spec, b.placement, b.hosts, b.topology,
+                   failover_config(4096));
+  engine.schedule_node_failure(2, 5.0);  // B's node only
+  ASSERT_TRUE(engine.run().is_ok());
+  EXPECT_TRUE(engine.report().completed);
+  ASSERT_EQ(engine.report().failures.size(), 1u);
+  const FailureReport& f = engine.report().failures[0];
+  EXPECT_EQ(f.stage, "B");
+  EXPECT_EQ(f.outcome, FailureReport::Outcome::kRecovered);
+  EXPECT_GT(f.packets_replayed, 0u);
+  EXPECT_EQ(f.packets_lost_retention, 0u);
+  const auto& sink = dynamic_cast<SetSink&>(engine.processor(2));
+  EXPECT_EQ(sink.seen_, expected);
+  EXPECT_LE(sink.received_, 1000u + f.packets_replayed);
+}
+
+TEST(FailoverRt, MidChainCrashOfAServedStageRecovers) {
+  auto base = mid_chain(3000, 5000);
+  RtEngine::Config config;
+  config.adaptation_enabled = false;
+  config.control_period = 0.01;
+  config.max_wall_time = 60;
+  config.failover.enabled = true;
+  config.failover.heartbeat_period = 0.05;
+  config.failover.suspicion_beats = 2;
+  config.failover.replay_buffer_packets = 4096;
+  std::set<std::pair<std::uint64_t, std::uint64_t>> expected;
+  {
+    RtEngine clean(base.spec, base.placement, base.hosts, base.topology,
+                   config);
+    ASSERT_TRUE(clean.run().is_ok());
+    expected = dynamic_cast<SetSink&>(clean.processor(2)).seen_;
+    ASSERT_EQ(expected.size(), 3000u);
+    // The paced feed leaves A idle after every burst: B is served in place.
+    EXPECT_GT(clean.report().stages[1].inline_batches, 0u);
+  }
+  auto b = mid_chain(3000, 5000);
+  RtEngine engine(b.spec, b.placement, b.hosts, b.topology, config);
+  engine.schedule_node_failure(2, 0.25);  // B's node, mid-stream
+  ASSERT_TRUE(engine.run().is_ok());
+  EXPECT_TRUE(engine.report().completed);
+  ASSERT_EQ(engine.report().failures.size(), 1u);
+  const FailureReport& f = engine.report().failures[0];
+  EXPECT_EQ(f.stage, "B");
+  EXPECT_EQ(f.outcome, FailureReport::Outcome::kRecovered);
+  EXPECT_EQ(f.packets_lost_retention, 0u);
+  // At-least-once: replay may repeat an output, never lose or alter one.
+  const auto& sink = dynamic_cast<SetSink&>(engine.processor(2));
+  EXPECT_EQ(sink.seen_, expected);
+  EXPECT_LE(sink.received_, 3000u + f.packets_replayed);
 }
 
 TEST(FailoverRt, CrashedStageRaisesNoExceptionsUntilRecovered) {

@@ -348,6 +348,77 @@ TEST(MigrationRt, MidRunMigrationPreservesOutputDigest) {
   EXPECT_EQ(sink.digest_, baseline);
 }
 
+/// Zero-cost pass-through: its idle worker serves the next stage in place.
+class Forward : public StreamProcessor {
+ public:
+  void init(ProcessorContext&) override {}
+  void process(const Packet& packet, Emitter& emitter) override {
+    emitter.emit(packet);
+  }
+  std::string name() const override { return "forward"; }
+};
+
+/// chain_pipeline with a forwarder in front: source -> fwd -> chain -> sink,
+/// so the migrated chain stage is the one its upstream serves in place.
+Built served_chain_pipeline(std::uint64_t packets, double rate) {
+  Built b = chain_pipeline(packets, rate);
+  StageSpec fwd;
+  fwd.name = "fwd";
+  fwd.factory = [] { return std::make_unique<Forward>(); };
+  b.spec.stages.insert(b.spec.stages.begin(), std::move(fwd));
+  b.spec.edges = {{0, 1, 0}, {1, 2, 0}};
+  b.placement.stage_nodes = {1, 1, 0};
+  return b;
+}
+
+TEST(MigrationRt, MigratingAServedStageKeepsItsDigest) {
+  std::uint64_t baseline = 0;
+  {
+    auto base = served_chain_pipeline(2000, 5000);
+    RtEngine engine(base.spec, base.placement, base.hosts, base.topology,
+                    rt_failover_config());
+    ASSERT_TRUE(engine.run().is_ok());
+    auto& sink = dynamic_cast<DigestSink&>(engine.processor(2));
+    ASSERT_EQ(sink.count_, 2000u);
+    baseline = sink.digest_;
+    EXPECT_GT(engine.report().stages[1].inline_batches, 0u)
+        << "the chain stage was never served in place";
+  }
+  auto b = served_chain_pipeline(2000, 5000);
+  RtEngine engine(b.spec, b.placement, b.hosts, b.topology,
+                  rt_failover_config());
+  engine.schedule_migration(1, 0.15, 2);
+  ASSERT_TRUE(engine.run().is_ok());
+  EXPECT_TRUE(engine.report().completed);
+  ASSERT_EQ(engine.report().migrations.size(), 1u);
+  const MigrationRecord& m = engine.report().migrations[0];
+  EXPECT_EQ(m.outcome, MigrationRecord::Outcome::kCompleted);
+  EXPECT_TRUE(m.checkpointed);
+  EXPECT_EQ(m.packets_replayed, 0u);
+  auto& sink = dynamic_cast<DigestSink&>(engine.processor(2));
+  EXPECT_EQ(sink.count_, 2000u);
+  EXPECT_EQ(sink.digest_, baseline);
+}
+
+/// A stage parked between packets of a 1 packet/s stream quiesces at once:
+/// the request kicks its timed consume instead of waiting for the next
+/// packet or heartbeat timeout (0.5 s here).
+TEST(MigrationRt, IdleStageQuiescesWithoutWaitingForABeat) {
+  auto b = chain_pipeline(2, 1);
+  RtEngine::Config config = rt_failover_config();
+  config.failover.heartbeat_period = 0.5;
+  RtEngine engine(b.spec, b.placement, b.hosts, b.topology, config);
+  engine.schedule_migration(0, 0.3, 2);
+  ASSERT_TRUE(engine.run().is_ok());
+  EXPECT_TRUE(engine.report().completed);
+  ASSERT_EQ(engine.report().migrations.size(), 1u);
+  const MigrationRecord& m = engine.report().migrations[0];
+  EXPECT_EQ(m.outcome, MigrationRecord::Outcome::kCompleted);
+  EXPECT_LT(m.resumed_at - m.requested_at, 0.05);
+  auto& sink = dynamic_cast<DigestSink&>(engine.processor(1));
+  EXPECT_EQ(sink.count_, 2u);
+}
+
 TEST(MigrationRt, KillAtEveryProtocolStepCompletesViaFailover) {
   const MigrationStep steps[] = {MigrationStep::kQuiesce,
                                  MigrationStep::kCapture,

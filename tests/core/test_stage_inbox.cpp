@@ -7,6 +7,7 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -289,6 +290,141 @@ TEST(StageInboxSpsc, ProducerConsumerWithAuxInjection) {
   EXPECT_EQ(data_count, kItems);
   EXPECT_EQ(aux_count, kAux);
   EXPECT_EQ(data_sum, static_cast<long long>(kItems) * (kItems - 1) / 2);
+}
+
+// -- serving in place ----------------------------------------------------------
+
+TEST(StageInboxSpsc, ClaimOnlyWhileTheConsumerIsParked) {
+  StageInbox<int> inbox(8);
+  inbox.use_spsc();
+  inbox.set_idle(IdleConfig::park());
+  EXPECT_FALSE(inbox.try_claim()) << "a running consumer is never claimed";
+  std::vector<int> seen;  // consumer role only
+  std::thread consumer([&] {
+    while (inbox.consume([&](int& v) { seen.push_back(v); }, 8) != 0) {
+    }
+  });
+  // Serve three items in place once the consumer parks; it stays asleep.
+  while (!inbox.try_claim()) std::this_thread::yield();
+  std::vector<int> in = {1, 2, 3};
+  ASSERT_EQ(inbox.push_all(in, /*defer_wake=*/true), 3u);
+  EXPECT_EQ(inbox.consume_claimed([&](int& v) { seen.push_back(v); }, 8), 3u);
+  inbox.release_claim();
+  // Pushed and then woken: the consumer takes these on its own thread.
+  std::vector<int> more = {4, 5};
+  ASSERT_EQ(inbox.push_all(more), 2u);
+  while (inbox.size() != 0) std::this_thread::yield();
+  inbox.close();
+  consumer.join();
+  EXPECT_EQ(seen, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+TEST(StageInboxSpsc, KickReturnsAParkedConsumerEmptyHanded) {
+  StageInbox<int> inbox(8);
+  inbox.use_spsc();
+  inbox.set_idle(IdleConfig::park());
+  std::atomic<int> returned{-1};
+  std::thread consumer([&] {
+    returned = static_cast<int>(inbox.consume([](int&) {}, 8));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(returned.load(), -1) << "untimed consume returned with no input";
+  inbox.kick();
+  consumer.join();
+  EXPECT_EQ(returned.load(), 0);
+  EXPECT_FALSE(inbox.closed());
+  // The kick was consumed: the next consume blocks for input again.
+  std::vector<int> out;
+  std::thread late([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    inbox.push(7);
+  });
+  EXPECT_EQ(consume_into(inbox, out, 8), 1u);
+  late.join();
+  EXPECT_EQ(out, (std::vector<int>{7}));
+}
+
+// The claim protocol under stress: the producer pushes with deferred wakes
+// and then randomly serves the consumer in place, wakes it or kicks it; a
+// control thread injects aux items; the consumer mixes timed and untimed
+// consumes. Whoever holds the consumer role appends to one plain vector, so
+// a TSan build also checks the claim's mutual exclusion and happens-before.
+// Every item is seen once, data items in order, and close() ends the run.
+TEST(StageInboxSpsc, ServeInPlaceStress) {
+  StageInbox<int> inbox(16);
+  inbox.use_spsc();
+  inbox.set_idle(IdleConfig::park());
+  constexpr int kItems = 40000;
+  constexpr int kAux = 2000;
+  std::vector<int> seen;  // consumer role only
+  auto record = [&](int& v) { seen.push_back(v); };
+  std::uint64_t served = 0;
+
+  std::thread producer([&] {
+    std::mt19937 rng(7);
+    std::vector<int> batch;
+    for (int next = 0; next < kItems;) {
+      batch.clear();
+      const int n = 1 + static_cast<int>(rng() % 24);
+      for (int i = 0; i < n && next < kItems; ++i) batch.push_back(next++);
+      const std::size_t size = batch.size();
+      ASSERT_EQ(inbox.push_all(batch, /*defer_wake=*/true), size);
+      switch (rng() % 4) {
+        case 0:
+        case 1:
+          if (inbox.try_claim()) {
+            served += inbox.consume_claimed(record, 16) != 0;
+            inbox.release_claim();
+          } else {
+            inbox.wake_consumer();
+          }
+          break;
+        case 2:
+          inbox.wake_consumer();
+          break;
+        default:
+          inbox.kick();
+          inbox.wake_consumer();
+          break;
+      }
+      // Let the consumer park now and then, so claims succeed.
+      if (rng() % 8 == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    }
+  });
+  std::thread control([&] {
+    for (int i = 0; i < kAux; ++i) {
+      ASSERT_TRUE(inbox.push_aux(kItems + i));
+      if (i % 64 == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+  });
+  std::thread consumer([&] {
+    for (std::uint64_t k = 0;; ++k) {
+      const double timeout = k % 3 == 0 ? 0.0005 : -1.0;
+      if (inbox.consume(record, 16, timeout) == 0 && inbox.closed()) break;
+    }
+  });
+  producer.join();
+  control.join();
+  inbox.close();
+  consumer.join();
+
+  EXPECT_GT(served, 0u) << "the consumer was never served in place";
+  int next_data = 0;
+  std::vector<bool> aux_seen(kAux, false);
+  for (const int v : seen) {
+    if (v >= kItems) {
+      ASSERT_FALSE(aux_seen[static_cast<std::size_t>(v - kItems)]) << v;
+      aux_seen[static_cast<std::size_t>(v - kItems)] = true;
+    } else {
+      ASSERT_EQ(v, next_data++);
+    }
+  }
+  EXPECT_EQ(next_data, kItems);
+  EXPECT_EQ(std::count(aux_seen.begin(), aux_seen.end(), true), kAux);
 }
 
 // -- order-preserving merge window -------------------------------------------
