@@ -126,23 +126,34 @@ class BoundedQueue {
   }
 
   /// Moves up to `max` items into `out` (appending) under one lock,
-  /// blocking until at least one item is available or the queue is closed
-  /// and drained. Returns the number moved (0 = closed and drained).
+  /// blocking until at least one item is available, the queue is closed
+  /// and drained, or a kick() lands. Returns the number moved (0 = closed
+  /// and drained, or kicked).
   std::size_t drain(std::vector<T>& out, std::size_t max) {
     std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [&] { return !items_.empty() || closed_; });
+    not_empty_.wait(lock, [&] { return drainable(); });
     return drain_locked(lock, out, max);
   }
 
   /// As drain(), but waits at most `timeout_seconds`; returns 0 on timeout
-  /// as well as on close-and-drained (callers check closed() to tell the
-  /// two apart, as with pop_for).
+  /// as well as on close-and-drained or a kick (callers check closed() to
+  /// tell them apart, as with pop_for).
   std::size_t drain_for(std::vector<T>& out, std::size_t max,
                         double timeout_seconds) {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait_for(lock, std::chrono::duration<double>(timeout_seconds),
-                        [&] { return !items_.empty() || closed_; });
+                        [&] { return drainable(); });
     return drain_locked(lock, out, max);
+  }
+
+  /// Ends a drain/drain_for wait early, empty-handed unless items are
+  /// queued; a kick that lands while no drain waits ends the next one.
+  void kick() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      kicked_ = true;
+    }
+    not_empty_.notify_all();
   }
 
   /// Wakes all waiters; subsequent pushes fail, pops drain remaining items.
@@ -163,6 +174,7 @@ class BoundedQueue {
     {
       std::lock_guard<std::mutex> lock(mu_);
       closed_ = false;
+      kicked_ = false;
       items_.clear();
     }
     not_full_.notify_all();
@@ -180,11 +192,15 @@ class BoundedQueue {
   std::size_t capacity() const { return capacity_; }
 
  private:
-  /// Shared tail of the drain variants: move up to `max` items out, then
-  /// wake producers commensurate with the space actually freed (none when
-  /// nothing was removed).
+  /// The drain variants' wake condition (mu_ held).
+  bool drainable() const { return !items_.empty() || closed_ || kicked_; }
+
+  /// Shared tail of the drain variants: take the kick, move up to `max`
+  /// items out, then wake producers commensurate with the space actually
+  /// freed (none when nothing was removed).
   std::size_t drain_locked(std::unique_lock<std::mutex>& lock,
                            std::vector<T>& out, std::size_t max) {
+    kicked_ = false;
     const std::size_t n = std::min(max, items_.size());
     for (std::size_t i = 0; i < n; ++i) {
       out.push_back(std::move(items_.front()));
@@ -205,6 +221,7 @@ class BoundedQueue {
   std::condition_variable not_full_;
   std::deque<T> items_;
   bool closed_ = false;
+  bool kicked_ = false;
 };
 
 }  // namespace gates

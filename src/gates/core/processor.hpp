@@ -62,9 +62,9 @@ class ProcessorContext {
 ///
 /// Threads (RtEngine): calls into one processor instance never overlap and
 /// each happens-after the previous one, but process() need not run on the
-/// same thread every time — an idle upstream stage may serve a zero-cost
-/// serial stage's batch on its own thread (DESIGN.md §5.5). Keep no
-/// thread-local state across calls.
+/// same thread every time — an idle upstream stage, or a source that
+/// waited for its input, may serve a zero-cost serial stage's batch on its
+/// own thread (DESIGN.md §5.5). Keep no thread-local state across calls.
 class StreamProcessor {
  public:
   virtual ~StreamProcessor() = default;

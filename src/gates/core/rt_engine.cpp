@@ -33,6 +33,11 @@ void sleep_seconds(Duration s) {
   if (s > 0) std::this_thread::sleep_for(std::chrono::duration<double>(s));
 }
 
+/// A generator call for a batch's first packet that takes longer than this
+/// blocked for its input (a schedule, a socket, a file): the source is
+/// idle, not saturated. A non-blocking generator returns in well under 1 µs.
+constexpr Duration kInputWait = 20e-6;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -216,9 +221,10 @@ class RtEngine::Outlet {
   /// Sends the staged batch and settles the deferred consumer wakeup.
   /// Returns how many packets a closed (crashed or force-stopped)
   /// destination refused: with retention they survive in the channel and
-  /// return via replay, without it they are lost. `idle`: the sending stage
-  /// is about to park, so it serves a parked destination in place instead
-  /// of waking it (StageWorker::serve_inline).
+  /// return via replay, without it they are lost. `idle`: the sending
+  /// thread has nothing else to do — a stage about to park, a source that
+  /// waited for its input — so it serves a parked destination in place
+  /// instead of waking it (StageWorker::serve_inline).
   std::size_t flush(bool idle = false);
   /// EOS rides the shaper in FIFO order but is never subject to loss or
   /// jitter — termination stays reliable on any link. `idle` as in flush().
@@ -727,23 +733,23 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
     }
   }
 
-  /// Engine setup, before any thread exists: whether an upstream stage may
-  /// serve this one in place. Only a serial, local stage whose SPSC inbox
-  /// has one producer, and with a zero cost model: a modelled service time
-  /// stands for CPU on this stage's own node, so it must not sleep on an
-  /// upstream's thread.
+  /// Engine setup, before any thread exists: whether the upstream stage or
+  /// source may serve this one in place. Only a serial, local stage whose
+  /// SPSC inbox has one producer, and with a zero cost model: a modelled
+  /// service time stands for CPU on this stage's own node, so it must not
+  /// sleep on an upstream's thread.
   void resolve_claimable() {
     claimable_ = !pooled() && queue_.spsc() && remote_egress_ == nullptr &&
                  spec_.cost.is_zero();
   }
 
-  /// Called by the upstream stage that produces into this inbox when it is
-  /// about to park itself: if this stage's worker is parked, claims its
-  /// consumer role, serves one batch on the calling thread and hands the
-  /// role back, so the worker stays asleep. A terminal EOS served here
-  /// kicks the worker, which runs finish() on its own thread. Returns false
-  /// (the caller wakes the worker instead) when the stage is not claimable,
-  /// is migrating or crashed, or its worker is not parked.
+  /// Called by the thread that produces into this inbox (the upstream
+  /// stage or source) when it is idle: if this stage's worker is parked,
+  /// claims its consumer role, serves one batch on the calling thread and
+  /// hands the role back, so the worker stays asleep. A terminal EOS served
+  /// here kicks the worker, which runs finish() on its own thread. Returns
+  /// false (the caller wakes the worker instead) when the stage is not
+  /// claimable, is migrating or crashed, or its worker is not parked.
   bool serve_inline() {
     if (!claimable_ || quiesce_requested_.load(std::memory_order_acquire) ||
         crashed_.load(std::memory_order_acquire) || !queue_.try_claim()) {
@@ -1864,12 +1870,29 @@ class RtEngine::SourceWorker {
     // build — microseconds at hot rates) and the horizon check rides the
     // same cached timestamp.
     TimePoint batch_now = start;
+    // The source waited for this batch's input, so it is idle and serves a
+    // parked target in place (Outlet::flush) instead of waking it; an
+    // unpaced source never waits, so a loaded pipeline stays parallel.
+    bool waited = false;
+    // Flush (serve) time an engine-paced source spent while it owed sleep:
+    // it comes out of the sleep it owes, so serving does not lower the
+    // offered rate, and a source that is behind does not serve until it
+    // has caught up.
+    Duration late = 0;
     while (!stop_.load(std::memory_order_acquire)) {
       if (spec_.total_packets != 0 && seq >= spec_.total_packets) break;
       if (horizon_ > 0 && batch_now - start >= horizon_) break;
       Packet packet;
       if (spec_.generator) {
         packet = spec_.generator(seq, rng_);
+        if (batch_fill == 0) {
+          // A generator source reads the batch clock after its first call:
+          // the read tells whether the generator blocked, and keeps that
+          // wait out of the batch's created_at.
+          const TimePoint got = clock_.now();
+          waited = got - batch_now > kInputWait;
+          batch_now = got;
+        }
       } else {
         packet.payload = proto;
       }
@@ -1902,7 +1925,12 @@ class RtEngine::SourceWorker {
       const bool boundary =
           ++batch_fill >= max_batch ||
           owed_sleep >= engine_.config_.batching.max_source_delay;
-      if (boundary) refused += outlet_.flush();
+      if (boundary) {
+        const bool owes = owed_sleep > late;
+        const TimePoint flush_at = owes ? clock_.now() : 0;
+        refused += outlet_.flush(waited || owes);
+        if (owes) late += clock_.now() - flush_at;
+      }
       // A closed target without retention means a force-stopped run: stop
       // producing. With retention a crashed target's tail survives in the
       // channel for replay, so production goes on.
@@ -1911,17 +1939,22 @@ class RtEngine::SourceWorker {
       }
       if (boundary) {
         batch_fill = 0;
-        // Settle the accumulated inter-arrival debt. precise_sleep holds
-        // sub-millisecond gaps that sleep_for's timer granularity would
-        // undershoot — high-rate paced sources used to drift slow because
-        // each settle overslept and the debt ledger never saw it.
-        precise_sleep(owed_sleep);
+        // Settle the accumulated inter-arrival debt, less `late`.
+        // precise_sleep holds sub-millisecond gaps that sleep_for's timer
+        // granularity would undershoot — high-rate paced sources used to
+        // drift slow because each settle overslept and the debt ledger
+        // never saw it. What `late` overran carries to the next settle, at
+        // most one settle's worth: a stall (a long serve, a full inbox)
+        // never turns into a burst of more than one batch.
+        precise_sleep(owed_sleep - late);
+        late = std::clamp(late - owed_sleep, Duration{0}, owed_sleep);
         owed_sleep = 0;
         batch_now = clock_.now();
       }
     }
-    outlet_.flush();
-    outlet_.send_eos(spec_.stream);
+    const bool idle = waited || owed_sleep > late;
+    outlet_.flush(idle);
+    outlet_.send_eos(spec_.stream, idle);
   }
 
   /// Remote inlet: receives DATA frames from the ingress link, lands each

@@ -37,7 +37,8 @@
 // woken by a notify, a timeout or close while a claim is in progress waits
 // it out (kReclaim), and the release hands the role straight back to it.
 // kick() wakes a parked consumer with nothing to consume: its consume()
-// returns 0. Mutex mode has no claim and ignores kicks.
+// returns 0. Mutex mode has no claim; a kick ends its wait the same way
+// (BoundedQueue::kick).
 #pragma once
 
 #include <atomic>
@@ -151,6 +152,7 @@ class StageInbox {
   /// Wakes a parked consumer with nothing to consume: its consume() returns
   /// 0 (a kick that lands while it runs is taken at its next park).
   void kick() {
+    if (ring_ == nullptr) return queue_.kick();
     kick_.store(true);
     wake_consumer();
   }

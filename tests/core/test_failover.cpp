@@ -288,9 +288,9 @@ class SetSink : public StreamProcessor {
   std::set<std::pair<std::uint64_t, std::uint64_t>> seen_;
 };
 
-/// source -> A (node 1) -> B (node 2) -> C (node 0); node 3 is spare. A is a
-/// zero-cost forwarder, so on the real-time engine its idle worker serves B
-/// in place.
+/// source -> A (node 1) -> B (node 2) -> C (node 0); node 3 is spare. On the
+/// real-time engine the paced source serves A in place, and A, a zero-cost
+/// forwarder, serves B.
 Built mid_chain(std::uint64_t packets, double rate) {
   Built b;
   StageSpec a;
@@ -340,7 +340,10 @@ TEST(Failover, MidChainCrashReplaysIntoTheRevivedStage) {
   EXPECT_LE(sink.received_, 1000u + f.packets_replayed);
 }
 
-TEST(FailoverRt, MidChainCrashOfAServedStageRecovers) {
+/// Kills the node of mid_chain stage `index` mid-stream, a stage served in
+/// place on the paced run (A by the source, B by A): the sink's distinct
+/// outputs equal the unkilled run's.
+void expect_served_stage_crash_recovers(std::size_t index) {
   auto base = mid_chain(3000, 5000);
   RtEngine::Config config;
   config.adaptation_enabled = false;
@@ -357,23 +360,31 @@ TEST(FailoverRt, MidChainCrashOfAServedStageRecovers) {
     ASSERT_TRUE(clean.run().is_ok());
     expected = dynamic_cast<SetSink&>(clean.processor(2)).seen_;
     ASSERT_EQ(expected.size(), 3000u);
-    // The paced feed leaves A idle after every burst: B is served in place.
-    EXPECT_GT(clean.report().stages[1].inline_batches, 0u);
+    EXPECT_GT(clean.report().stages[index].inline_batches, 0u);
   }
   auto b = mid_chain(3000, 5000);
   RtEngine engine(b.spec, b.placement, b.hosts, b.topology, config);
-  engine.schedule_node_failure(2, 0.25);  // B's node, mid-stream
+  // Mid-stream; the source stays up even when it shares the killed node.
+  engine.schedule_node_failure(b.placement.stage_nodes[index], 0.25);
   ASSERT_TRUE(engine.run().is_ok());
   EXPECT_TRUE(engine.report().completed);
   ASSERT_EQ(engine.report().failures.size(), 1u);
   const FailureReport& f = engine.report().failures[0];
-  EXPECT_EQ(f.stage, "B");
+  EXPECT_EQ(f.stage, b.spec.stages[index].name);
   EXPECT_EQ(f.outcome, FailureReport::Outcome::kRecovered);
   EXPECT_EQ(f.packets_lost_retention, 0u);
   // At-least-once: replay may repeat an output, never lose or alter one.
   const auto& sink = dynamic_cast<SetSink&>(engine.processor(2));
   EXPECT_EQ(sink.seen_, expected);
   EXPECT_LE(sink.received_, 3000u + f.packets_replayed);
+}
+
+TEST(FailoverRt, MidChainCrashOfAServedStageRecovers) {
+  expect_served_stage_crash_recovers(1);
+}
+
+TEST(FailoverRt, CrashOfTheSourcesServedStageRecovers) {
+  expect_served_stage_crash_recovers(0);
 }
 
 TEST(FailoverRt, CrashedStageRaisesNoExceptionsUntilRecovered) {

@@ -122,6 +122,29 @@ Built chain_pipeline(std::uint64_t packets = 1000, double rate = 200) {
   return b;
 }
 
+/// Zero-cost pass-through: its idle worker serves the next stage in place.
+class Forward : public StreamProcessor {
+ public:
+  void init(ProcessorContext&) override {}
+  void process(const Packet& packet, Emitter& emitter) override {
+    emitter.emit(packet);
+  }
+  std::string name() const override { return "forward"; }
+};
+
+/// chain_pipeline with a forwarder in front: source -> fwd -> chain -> sink,
+/// so the migrated chain stage is the one its upstream serves in place.
+Built served_chain_pipeline(std::uint64_t packets, double rate) {
+  Built b = chain_pipeline(packets, rate);
+  StageSpec fwd;
+  fwd.name = "fwd";
+  fwd.factory = [] { return std::make_unique<Forward>(); };
+  b.spec.stages.insert(b.spec.stages.begin(), std::move(fwd));
+  b.spec.edges = {{0, 1, 0}, {1, 2, 0}};
+  b.placement.stage_nodes = {1, 1, 0};
+  return b;
+}
+
 SimEngine::Config sim_failover_config(std::uint64_t seed = 1) {
   SimEngine::Config config;
   config.seed = seed;
@@ -215,6 +238,33 @@ TEST(MigrationSim, MidRunMigrationPreservesOutputDigest) {
   auto& sink = dynamic_cast<DigestSink&>(engine.processor(1));
   EXPECT_EQ(sink.count_, 1000u);
   EXPECT_EQ(sink.digest_, baseline);
+}
+
+/// Mid-chain: the migrated stage's input comes from another stage, so the
+/// rewire replays that stage's route into it (StageRuntime::replay_route).
+TEST(MigrationSim, MidChainMigrationPreservesOutputDigest) {
+  auto base = served_chain_pipeline(1000, 200);
+  SimEngine clean(base.spec, base.placement, base.hosts, base.topology,
+                  sim_failover_config());
+  ASSERT_TRUE(clean.run().is_ok());
+  const auto& expected = dynamic_cast<DigestSink&>(clean.processor(2));
+  ASSERT_EQ(expected.count_, 1000u);
+
+  auto b = served_chain_pipeline(1000, 200);
+  SimEngine engine(b.spec, b.placement, b.hosts, b.topology,
+                   sim_failover_config());
+  engine.schedule_migration(1, 2.5, /*target=*/2);
+  ASSERT_TRUE(engine.run().is_ok());
+  EXPECT_TRUE(engine.report().completed);
+  ASSERT_EQ(engine.report().migrations.size(), 1u);
+  const MigrationRecord& m = engine.report().migrations[0];
+  EXPECT_EQ(m.outcome, MigrationRecord::Outcome::kCompleted);
+  EXPECT_EQ(m.stage, "chain");
+  EXPECT_EQ(m.to, 2u);
+  EXPECT_TRUE(m.checkpointed);
+  auto& sink = dynamic_cast<DigestSink&>(engine.processor(2));
+  EXPECT_EQ(sink.count_, 1000u);
+  EXPECT_EQ(sink.digest_, expected.digest_);
 }
 
 TEST(MigrationSim, WithoutFailoverAbortsInPlace) {
@@ -348,46 +398,27 @@ TEST(MigrationRt, MidRunMigrationPreservesOutputDigest) {
   EXPECT_EQ(sink.digest_, baseline);
 }
 
-/// Zero-cost pass-through: its idle worker serves the next stage in place.
-class Forward : public StreamProcessor {
- public:
-  void init(ProcessorContext&) override {}
-  void process(const Packet& packet, Emitter& emitter) override {
-    emitter.emit(packet);
-  }
-  std::string name() const override { return "forward"; }
-};
-
-/// chain_pipeline with a forwarder in front: source -> fwd -> chain -> sink,
-/// so the migrated chain stage is the one its upstream serves in place.
-Built served_chain_pipeline(std::uint64_t packets, double rate) {
-  Built b = chain_pipeline(packets, rate);
-  StageSpec fwd;
-  fwd.name = "fwd";
-  fwd.factory = [] { return std::make_unique<Forward>(); };
-  b.spec.stages.insert(b.spec.stages.begin(), std::move(fwd));
-  b.spec.edges = {{0, 1, 0}, {1, 2, 0}};
-  b.placement.stage_nodes = {1, 1, 0};
-  return b;
-}
-
-TEST(MigrationRt, MigratingAServedStageKeepsItsDigest) {
+/// Migrates stage `index` of `make()`'s pipeline mid-stream, a stage served
+/// in place on the paced run: the sink's digest equals the unmigrated run's.
+void expect_served_stage_migration_keeps_digest(Built (*make)(),
+                                                std::size_t index) {
+  const std::size_t sink_index = make().spec.stages.size() - 1;
   std::uint64_t baseline = 0;
   {
-    auto base = served_chain_pipeline(2000, 5000);
+    auto base = make();
     RtEngine engine(base.spec, base.placement, base.hosts, base.topology,
                     rt_failover_config());
     ASSERT_TRUE(engine.run().is_ok());
-    auto& sink = dynamic_cast<DigestSink&>(engine.processor(2));
+    auto& sink = dynamic_cast<DigestSink&>(engine.processor(sink_index));
     ASSERT_EQ(sink.count_, 2000u);
     baseline = sink.digest_;
-    EXPECT_GT(engine.report().stages[1].inline_batches, 0u)
-        << "the chain stage was never served in place";
+    EXPECT_GT(engine.report().stages[index].inline_batches, 0u)
+        << "the migrated stage was never served in place";
   }
-  auto b = served_chain_pipeline(2000, 5000);
+  auto b = make();
   RtEngine engine(b.spec, b.placement, b.hosts, b.topology,
                   rt_failover_config());
-  engine.schedule_migration(1, 0.15, 2);
+  engine.schedule_migration(index, 0.15, 2);
   ASSERT_TRUE(engine.run().is_ok());
   EXPECT_TRUE(engine.report().completed);
   ASSERT_EQ(engine.report().migrations.size(), 1u);
@@ -395,9 +426,21 @@ TEST(MigrationRt, MigratingAServedStageKeepsItsDigest) {
   EXPECT_EQ(m.outcome, MigrationRecord::Outcome::kCompleted);
   EXPECT_TRUE(m.checkpointed);
   EXPECT_EQ(m.packets_replayed, 0u);
-  auto& sink = dynamic_cast<DigestSink&>(engine.processor(2));
+  auto& sink = dynamic_cast<DigestSink&>(engine.processor(sink_index));
   EXPECT_EQ(sink.count_, 2000u);
   EXPECT_EQ(sink.digest_, baseline);
+}
+
+/// The chain stage, served by the forwarder in front of it.
+TEST(MigrationRt, MigratingAServedStageKeepsItsDigest) {
+  expect_served_stage_migration_keeps_digest(
+      [] { return served_chain_pipeline(2000, 5000); }, 1);
+}
+
+/// The chain stage, served by the paced source feeding it.
+TEST(MigrationRt, MigratingTheSourcesServedStageKeepsItsDigest) {
+  expect_served_stage_migration_keeps_digest(
+      [] { return chain_pipeline(2000, 5000); }, 0);
 }
 
 /// A stage parked between packets of a 1 packet/s stream quiesces at once:
@@ -417,6 +460,27 @@ TEST(MigrationRt, IdleStageQuiescesWithoutWaitingForABeat) {
   EXPECT_LT(m.resumed_at - m.requested_at, 0.05);
   auto& sink = dynamic_cast<DigestSink&>(engine.processor(1));
   EXPECT_EQ(sink.count_, 2u);
+}
+
+/// As above for a fan-in stage: two producers give it a mutex-mode inbox,
+/// whose timed consume the kick ends as well.
+TEST(MigrationRt, IdleFanInStageQuiescesWithoutWaitingForABeat) {
+  auto b = chain_pipeline(2, 1);
+  b.spec.sources.push_back(b.spec.sources[0]);
+  b.spec.sources[1].stream = 1;
+  RtEngine::Config config = rt_failover_config();
+  config.failover.heartbeat_period = 0.5;
+  RtEngine engine(b.spec, b.placement, b.hosts, b.topology, config);
+  engine.schedule_migration(0, 0.3, 2);
+  ASSERT_TRUE(engine.run().is_ok());
+  EXPECT_FALSE(engine.stage_inbox_spsc(0));
+  EXPECT_TRUE(engine.report().completed);
+  ASSERT_EQ(engine.report().migrations.size(), 1u);
+  const MigrationRecord& m = engine.report().migrations[0];
+  EXPECT_EQ(m.outcome, MigrationRecord::Outcome::kCompleted);
+  EXPECT_LT(m.resumed_at - m.requested_at, 0.05);
+  auto& sink = dynamic_cast<DigestSink&>(engine.processor(1));
+  EXPECT_EQ(sink.count_, 4u);
 }
 
 TEST(MigrationRt, KillAtEveryProtocolStepCompletesViaFailover) {

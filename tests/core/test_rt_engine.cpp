@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <limits>
 #include <map>
 #include <memory>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "gates/core/sim_engine.hpp"
@@ -253,6 +256,27 @@ TEST(RtEngineBatching, SlowSourcePacingSurvivesBatching) {
   EXPECT_GT(engine.report().execution_time, 0.2);  // >= ~0.3 s nominal
   EXPECT_EQ(dynamic_cast<CountingProcessor&>(engine.processor(1)).packets_,
             60u);
+}
+
+TEST(RtEngine, GeneratorWaitIsNotPacketLatency) {
+  // The generator blocks 5 ms before every 32nd packet, the first of each
+  // default batch: the batch is stamped once its first packet is in hand,
+  // so A's latency measures the pipeline, not the wait for input.
+  auto b = chain(320, std::numeric_limits<double>::infinity(), 16);
+  b.spec.sources[0].generator = [](std::uint64_t seq, Rng&) {
+    if (seq % 32 == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    Packet p;
+    p.payload = ByteBuffer(16);
+    return p;
+  };
+  RtEngine engine(b.spec, b.placement, b.hosts, b.topology, {});
+  ASSERT_TRUE(engine.run().is_ok());
+  const auto* a = engine.report().stage("A");
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->packets_processed, 320u);
+  EXPECT_LT(a->packet_latency.mean(), 1e-3);
 }
 
 /// Records the sequence of every packet it receives, per stream; forwards
