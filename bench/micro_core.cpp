@@ -17,7 +17,6 @@
 #include "gates/apps/counting_samples.hpp"
 #include "gates/common/affinity.hpp"
 #include "gates/common/arena.hpp"
-#include "gates/common/bounded_queue.hpp"
 #include "gates/common/byte_buffer.hpp"
 #include "gates/common/idle_strategy.hpp"
 #include "gates/common/rng.hpp"
@@ -148,16 +147,6 @@ void BM_XmlParseConfig(benchmark::State& state) {
 }
 BENCHMARK(BM_XmlParseConfig);
 
-void BM_BoundedQueuePingPong(benchmark::State& state) {
-  BoundedQueue<int> queue(1024);
-  for (auto _ : state) {
-    queue.try_push(1);
-    benchmark::DoNotOptimize(queue.try_pop());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BoundedQueuePingPong);
-
 void BM_SpscRingPingPong(benchmark::State& state) {
   SpscRing<int> ring(1024);
   for (auto _ : state) {
@@ -167,25 +156,6 @@ void BM_SpscRingPingPong(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SpscRingPingPong);
-
-// Batched handoff vs the per-item ping-pongs above: moves `range(0)` items
-// per push_all/drain transaction (one lock + notify per batch).
-void BM_BoundedQueueBatch(benchmark::State& state) {
-  const auto batch_size = static_cast<std::size_t>(state.range(0));
-  BoundedQueue<int> queue(1024);
-  std::vector<int> in;
-  std::vector<int> out;
-  out.reserve(batch_size);
-  for (auto _ : state) {
-    in.assign(batch_size, 1);
-    queue.push_all(in);
-    out.clear();
-    benchmark::DoNotOptimize(queue.drain(out, batch_size));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(batch_size));
-}
-BENCHMARK(BM_BoundedQueueBatch)->Arg(8)->Arg(32)->Arg(128);
 
 // Cross-thread SPSC handoff in batches of `range(0)`: the rt-engine 1:1
 // fast path, including the single release-store batch publication.
@@ -332,6 +302,32 @@ void BM_StageInboxClaimServe(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StageInboxClaimServe)->UseRealTime();
+
+// Fan-in handoff: two producer threads push batches of 32 into one shared
+// inbox (the producer lock serializes them) and the benchmark thread
+// consumes up to 32 per call; items/s counts consumed items. Uses only the
+// constructor, push_all, consume and close.
+void BM_StageInboxFanIn(benchmark::State& state) {
+  constexpr std::size_t kBatch = 32;
+  core::StageInbox<int> inbox(1024);
+  auto produce = [&] {
+    std::vector<int> batch;
+    do {
+      batch.assign(kBatch, 1);
+    } while (inbox.push_all(batch) == kBatch);
+  };
+  std::thread a(produce);
+  std::thread b(produce);
+  std::int64_t items = 0;
+  for (auto _ : state) {
+    items += static_cast<std::int64_t>(inbox.consume([](int&) {}, kBatch));
+  }
+  inbox.close();
+  a.join();
+  b.join();
+  state.SetItemsProcessed(items);
+}
+BENCHMARK(BM_StageInboxFanIn)->UseRealTime();
 
 // Fan-out cost per downstream route: COW payload copies are refcount bumps,
 // independent of payload size — compare Arg(64) with Arg(4096).

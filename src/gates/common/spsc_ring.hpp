@@ -1,8 +1,9 @@
 // Lock-free single-producer single-consumer ring buffer.
 //
-// Used on the rt-engine hot path between a source thread and its first
-// stage, where both ends are single threads and the mutex queue's wakeups
-// dominate. Capacity is rounded up to a power of two.
+// The storage of every rt-engine stage inbox (core/stage_inbox.hpp). More
+// than one producer thread is fine as long as something serializes their
+// pushes with a happens-before edge, as a shared inbox's producer lock
+// does. Capacity is rounded up to a power of two.
 //
 // Cache layout (audited): each side owns one cache line holding its index
 // plus a cached copy of the peer's index. The cached copy lets try_push /

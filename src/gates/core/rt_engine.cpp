@@ -550,8 +550,8 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
 
   /// Failover disabled: degrade a crashed stage the legacy way — EOS on its
   /// behalf so downstream still terminates. Runs on the control thread, so
-  /// it uses the inbox's aux channel (the ring fast path is reserved for
-  /// the flow's own producer thread).
+  /// it uses the inbox's aux lane (the ring is reserved for the flows' own
+  /// producer threads).
   void finish_on_behalf() {
     GATES_CHECK(crashed() && !finished());
     join();
@@ -1101,7 +1101,7 @@ class RtEngine::StageWorker final : public Emitter, public ProcessorContext {
           if (Status rp = replay(); rp.is_ok()) return true;
         }
         if (clock_.now() > give_up) return false;
-        precise_sleep(0.05);
+        sleep_seconds(0.05);
       }
       return false;
     };
@@ -2020,7 +2020,7 @@ class RtEngine::SourceWorker {
         }
         while (!stop_.load(std::memory_order_acquire)) {
           if (Status r = link.reconnect(); r.is_ok()) break;
-          precise_sleep(0.05);
+          sleep_seconds(0.05);
         }
         continue;
       }
@@ -2284,19 +2284,19 @@ Status RtEngine::setup() {
   for (std::size_t i = 0; i < spec_.stages.size(); ++i) {
     stages_[i]->set_eos_expected(spec_.fan_in(i));
   }
-  // SPSC fast path for 1:1 flows: a stage whose inbox has exactly one
-  // data-plane producer thread (one inbound edge XOR one source) can use
-  // the lock-free ring. Fan-in stages keep the mutex queue; control-plane
-  // injections (replay, EOS-on-behalf) use the inbox's aux channel either
-  // way, so they never violate the single-producer invariant. A replicated
-  // upstream edge is NOT one producer: its outputs are pushed by whichever
-  // thread wins the merge-release election (any replica or the
-  // dispatcher), so it counts as multiple producers and the downstream
-  // inbox keeps the mutex queue.
+  // Single-producer inboxes for 1:1 flows: a stage whose inbox has exactly
+  // one data-plane producer thread (one inbound edge XOR one source) skips
+  // the producer lock and may be served in place. Fan-in stages keep the
+  // shared (locked) producer side; control-plane injections (replay,
+  // EOS-on-behalf) use the inbox's aux lane either way, so they never
+  // break the single-producer invariant. A replicated upstream edge is NOT
+  // one producer: its outputs are pushed by whichever thread wins the
+  // merge-release election (any replica or the dispatcher), so it counts
+  // as multiple producers.
   std::vector<std::size_t> producers(spec_.stages.size(), 0);
   // A shaped flow's pushes come from its shaper thread, which may be shared
   // with other flows into the same stage — count it like a pooled upstream
-  // (2) so the inbox conservatively keeps the mutex queue.
+  // (2) so the inbox conservatively stays shared.
   auto flow_shaped = [this](NodeId from, NodeId to) {
     return shapers_.count(flow_key(from, to).first) != 0;
   };
@@ -2570,6 +2570,11 @@ Status RtEngine::execute(Duration source_horizon) {
   publish_pool();
   publish_wire();
   if (obs::MetricsRegistry::global().enabled()) {
+    // The last tick may have missed the pools' tail: sample them once more
+    // so /metrics and the stage reports agree at end of run.
+    for (auto& stage : stages_) {
+      if (stage->pooled()) stage->publish_pool_metrics();
+    }
     report_.metrics = obs::MetricsRegistry::global().snapshot();
   }
   if (obs::TraceBuffer::global().enabled()) {
@@ -2687,7 +2692,7 @@ void RtEngine::restart_stage(std::size_t stage_index, FailureReport& record) {
                                            : ProcessorFactory{});
   // Replay the unacknowledged tail of every inbound flow. The recovery
   // burst bypasses the throttle gates (it is bounded by the retention
-  // capacity); blocking pushes pace it against the revived worker. New
+  // capacity, which also bounds the aux lane it goes through). New
   // traffic from live senders may interleave with the replayed tail — the
   // flows are at-least-once, not ordered, across a restart.
   std::uint64_t replayed = 0;
@@ -2696,8 +2701,8 @@ void RtEngine::restart_stage(std::size_t stage_index, FailureReport& record) {
     if (ch == nullptr) return;
     lost += ch->take_unreported_evictions();
     for (auto& [seq, packet] : ch->snapshot()) {
-      // Aux channel: this runs on the control thread, which must not touch
-      // an SPSC inbox's ring (that is the flow producer's lane).
+      // Aux lane: this runs on the control thread, which must not touch
+      // the ring (that is the flow producers' lane) nor block on it.
       if (stage->queue().push_aux({packet, ch, seq})) {
         ++replayed;
         if (packet.trace.sampled()) {

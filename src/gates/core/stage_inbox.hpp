@@ -1,44 +1,54 @@
 // Stage input buffer for the real-time engine.
 //
-// Two interchangeable implementations behind one blocking, batch-oriented
-// interface; the consumer reads both through one call, consume():
+// One implementation behind a blocking, batch-oriented interface: the
+// lock-free SpscRing, whose capacity rounds up to a power of two. The
+// consumer reads it through one call, consume().
 //
-//  - mutex mode (default): a BoundedQueue. Correct for any number of
-//    producers — fan-in stages, and any stage when simplicity wins.
-//  - SPSC mode: the lock-free SpscRing as the fast path for 1:1 flows
-//    (exactly one upstream thread feeding exactly one worker thread), with
-//    a condvar fallback that preserves blocking push/pop semantics. The
-//    engine selects this at setup time once the flow graph is known.
+// Producers: the ring's producer side is correct for any number of threads
+// as long as their pushes are serialized with a happens-before edge. So an
+// inbox has one of two producer sides, chosen at setup once the flow graph
+// is known:
+//
+//  - single-producer (use_spsc()): exactly one upstream thread feeds the
+//    worker. Pushes take no lock, try_produce() fills ring slots in place,
+//    and the producer may serve a parked consumer in place (below).
+//  - shared (the default): fan-in stages, a pool's downstream stage (any
+//    releasing replica pushes) and shaped flows (a shaper thread may serve
+//    several flows). One producer mutex is held across each producer-side
+//    operation — push(), push_all() and the full-ring park inside it — and
+//    try_produce() declines, so callers fall back to the locked push.
+//
+// The consumer side is the same for every inbox.
 //
 // Control-plane producers — failover replay re-injection and EOS-on-behalf,
-// which run on the control thread and would violate the ring's single-
-// producer invariant — go through push_aux(), a small mutex-guarded side
-// queue that consume() hands to the consumer after the ring items. It is
-// intentionally unbounded: its occupancy is bounded externally by the
-// replay retention depth.
+// which run on the control thread — go through push_aux(), a small
+// mutex-guarded side queue that consume() hands to the consumer after the
+// ring items. It is intentionally unbounded, so the control thread never
+// blocks on a full inbox: its occupancy is bounded externally by the replay
+// retention depth.
 //
-// Sleep/wake protocol (SPSC mode): pushes and pops are lock-free; a side
-// that finds the ring full (producer) or empty (consumer) first runs its
-// IdleStrategy (spin→yield per the configured mode), and only when that
-// says to park does it register itself, re-check, and sleep on a condvar.
-// The opposite side publishes its batch, issues a seq_cst fence, and only
-// takes the wakeup mutex when the peer is actually asleep — so the
-// steady-state path never touches the mutex, and the store(batch)/load(flag)
-// vs store(flag)/load(batch) races that would lose a wakeup are fenced out.
+// Sleep/wake protocol: ring pushes and pops are lock-free; a side that finds
+// the ring full (producer) or empty (consumer) first runs its IdleStrategy
+// (spin→yield per the configured mode), and only when that says to park does
+// it register itself, re-check, and sleep on a condvar. The opposite side
+// publishes its batch, issues a seq_cst fence, and only takes the wakeup
+// mutex when the peer is actually asleep — so the steady-state path never
+// touches the mutex, and the store(batch)/load(flag) vs store(flag)/
+// load(batch) races that would lose a wakeup are fenced out. A shared
+// inbox parks at most one producer (the one holding the producer mutex).
 //
-// Serving in place (SPSC mode): the consumer registers its park by storing
-// kParked in an owner word. While it sleeps, the producer may take the
-// consumer role itself instead of waking it: try_claim() is a CAS
-// kParked → kClaimed, the claim holder reads through consume_claimed() with
-// the same in-place take as the worker, and release_claim() stores kParked
-// again, notifying the worker only if ring items, aux items, close or a kick
-// are pending. The CAS orders the worker's and the claim holder's access to
-// the consumer-side state (mutual exclusion plus happens-before). A worker
-// woken by a notify, a timeout or close while a claim is in progress waits
-// it out (kReclaim), and the release hands the role straight back to it.
-// kick() wakes a parked consumer with nothing to consume: its consume()
-// returns 0. Mutex mode has no claim; a kick ends its wait the same way
-// (BoundedQueue::kick).
+// Serving in place (single-producer inboxes): the consumer registers its
+// park by storing kParked in an owner word. While it sleeps, the producer
+// may take the consumer role itself instead of waking it: try_claim() is a
+// CAS kParked → kClaimed, the claim holder reads through consume_claimed()
+// with the same in-place take as the worker, and release_claim() stores
+// kParked again, notifying the worker only if ring items, aux items, close
+// or a kick are pending. The CAS orders the worker's and the claim holder's
+// access to the consumer-side state (mutual exclusion plus happens-before).
+// A worker woken by a notify, a timeout or close while a claim is in
+// progress waits it out (kReclaim), and the release hands the role straight
+// back to it. kick() wakes a parked consumer with nothing to consume: its
+// consume() returns 0.
 #pragma once
 
 #include <atomic>
@@ -51,7 +61,6 @@
 #include <optional>
 #include <vector>
 
-#include "gates/common/bounded_queue.hpp"
 #include "gates/common/check.hpp"
 #include "gates/common/idle_strategy.hpp"
 #include "gates/common/spsc_ring.hpp"
@@ -62,26 +71,23 @@ template <typename T>
 class StageInbox {
  public:
   explicit StageInbox(std::size_t capacity)
-      : capacity_(capacity), queue_(capacity) {}
+      : ring_(std::make_unique<SpscRing<T>>(capacity)) {}
 
-  /// Switches to the SPSC fast path. Only valid before any concurrent use;
-  /// the engine calls this from setup() for stages with exactly one
-  /// data-plane producer.
-  void use_spsc() {
-    GATES_CHECK(ring_ == nullptr);
-    ring_ = std::make_unique<SpscRing<T>>(capacity_);
-  }
-  bool spsc() const { return ring_ != nullptr; }
+  /// Marks the inbox single-producer: pushes skip the producer mutex and
+  /// try_produce() and serving in place work. Only valid before any
+  /// concurrent use; the engine calls this from setup() for stages with
+  /// exactly one data-plane producer.
+  void use_spsc() { spsc_ = true; }
+  bool spsc() const { return spsc_; }
 
-  /// Sets the spin/yield/park behavior for full/empty waits (SPSC mode).
-  /// Call before concurrent use.
+  /// Sets the spin/yield/park behavior for full/empty waits. Call before
+  /// concurrent use.
   void set_idle(const IdleConfig& config) { idle_ = config; }
 
-  // -- producer side (the single data-plane producer in SPSC mode) -----------
+  // -- producer side (the data-plane producers) -------------------------------
 
   /// Blocking push; returns false iff closed.
   bool push(T item) {
-    if (ring_ == nullptr) return queue_.push(std::move(item));
     std::vector<T> one;
     one.push_back(std::move(item));
     return push_all(one) == 1;
@@ -89,11 +95,12 @@ class StageInbox {
 
   /// Pushes every item, blocking as space frees. Returns the number pushed
   /// (< items.size() iff closed mid-way). On full success `items` is left
-  /// cleared. `defer_wake` (SPSC mode) leaves the consumer wakeup to the
-  /// caller's wake_consumer() or serve-in-place, as try_produce() does;
-  /// a push that has to park on a full ring still wakes the consumer first.
+  /// cleared. `defer_wake` leaves the consumer wakeup to the caller's
+  /// wake_consumer() or serve-in-place, as try_produce() does; a push that
+  /// has to park on a full ring still wakes the consumer first.
   std::size_t push_all(std::vector<T>& items, bool defer_wake = false) {
-    if (ring_ == nullptr) return queue_.push_all(items);
+    std::unique_lock<std::mutex> producer(push_mu_, std::defer_lock);
+    if (!spsc_) producer.lock();
     std::size_t pushed = 0;
     IdleStrategy idle(idle_);
     while (pushed < items.size()) {
@@ -123,19 +130,17 @@ class StageInbox {
     return pushed;
   }
 
-  /// Non-blocking single push (SPSC mode, producer thread): on success
-  /// `fill(slot)` writes the next ring slot in place; returns false — and
-  /// calls nothing — when the ring is full, the inbox is closed, or in
-  /// mutex mode. Deliberately does NOT wake the consumer: the per-push
-  /// seq_cst fence the wake protocol needs would cost more than the push
-  /// itself, so callers batch wakeups through wake_consumer() once per
-  /// flush boundary — and MUST call it before blocking themselves, or a
+  /// Non-blocking single push (single-producer inbox, producer thread): on
+  /// success `fill(slot)` writes the next ring slot in place; returns false
+  /// — and calls nothing — when the ring is full, the inbox is closed, or
+  /// the inbox is shared. Deliberately does NOT wake the consumer: the
+  /// per-push seq_cst fence the wake protocol needs would cost more than
+  /// the push itself, so callers batch wakeups through wake_consumer() once
+  /// per flush boundary — and MUST call it before blocking themselves, or a
   /// parked consumer sleeps through the pushed items.
   template <typename F>
   bool try_produce(F&& fill) {
-    if (ring_ == nullptr || closed_.load(std::memory_order_acquire)) {
-      return false;
-    }
+    if (!spsc_ || closed_.load(std::memory_order_acquire)) return false;
     return ring_->try_produce(fill);
   }
 
@@ -152,19 +157,17 @@ class StageInbox {
   /// Wakes a parked consumer with nothing to consume: its consume() returns
   /// 0 (a kick that lands while it runs is taken at its next park).
   void kick() {
-    if (ring_ == nullptr) return queue_.kick();
     kick_.store(true);
     wake_consumer();
   }
 
-  // -- serving in place (the single producer, SPSC mode) ----------------------
+  // -- serving in place (the single producer) ---------------------------------
 
   /// Takes the consumer role while the worker is parked. On success the
   /// caller consumes with consume_claimed() and must release_claim().
   bool try_claim() {
     std::uint8_t parked = kParked;
-    return ring_ != nullptr &&
-           owner_.load(std::memory_order_relaxed) == kParked &&
+    return owner_.load(std::memory_order_relaxed) == kParked &&
            owner_.compare_exchange_strong(parked, kClaimed);
   }
 
@@ -193,10 +196,8 @@ class StageInbox {
   }
 
   /// Control-plane push from any thread (replay re-injection, EOS on a
-  /// crashed stage's behalf). Never blocks in SPSC mode; returns false iff
-  /// closed.
+  /// crashed stage's behalf). Never blocks; returns false iff closed.
   bool push_aux(T item) {
-    if (ring_ == nullptr) return queue_.push(std::move(item));
     {
       std::lock_guard<std::mutex> lock(aux_mu_);
       if (closed_.load(std::memory_order_acquire)) return false;
@@ -210,10 +211,10 @@ class StageInbox {
   // -- consumer side (single worker thread) ----------------------------------
 
   /// Applies `f` to up to `max` items in FIFO order and returns how many it
-  /// handled. SPSC mode calls `f` directly on the ring slots (no move into a
-  /// batch vector); mutex mode and aux items go through a consumer-owned
-  /// scratch vector, filled under the lock and handed to `f` outside it, so
-  /// `f` may block (emit downstream) without stalling producers. Blocks
+  /// handled. Ring items are handed to `f` in their slots (no move into a
+  /// batch vector); aux items go through a consumer-owned scratch vector,
+  /// filled under the aux lock and handed to `f` outside it, so `f` may
+  /// block (emit downstream) without stalling the control thread. Blocks
   /// until at least one item is handled, the inbox is closed and empty, or
   /// a kick lands (the last two return 0). `timeout_seconds < 0` spins/yields
   /// per the idle mode and then parks untimed; `>= 0` skips the spin
@@ -222,15 +223,6 @@ class StageInbox {
   /// closed() to tell them apart).
   template <typename F>
   std::size_t consume(F&& f, std::size_t max, double timeout_seconds = -1.0) {
-    if (ring_ == nullptr) {
-      const std::size_t n =
-          timeout_seconds < 0
-              ? queue_.drain(scratch_, max)
-              : queue_.drain_for(scratch_, max, timeout_seconds);
-      for (T& item : scratch_) f(item);
-      scratch_.clear();
-      return n;
-    }
     std::size_t n = take_in_place(f, max);
     if (n == 0 && timeout_seconds < 0) {
       IdleStrategy idle(idle_);
@@ -258,12 +250,9 @@ class StageInbox {
     // Pairs with release_claim(): a worker asleep behind a claim is woken
     // by whichever side sees the other's store.
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    queue_.close();
-    if (ring_ != nullptr) {
-      std::lock_guard<std::mutex> lock(sleep_mu_);
-      not_empty_.notify_all();
-      not_full_.notify_all();
-    }
+    std::lock_guard<std::mutex> lock(sleep_mu_);
+    not_empty_.notify_all();
+    not_full_.notify_all();
   }
 
   /// Reverses close() and discards queued input (crash-restart path: the
@@ -271,12 +260,8 @@ class StageInbox {
   /// call when no consumer thread is running; the caller momentarily acts
   /// as the consumer, which is legal because the dead worker was joined.
   void reopen() {
-    queue_.reopen();
-    if (ring_ != nullptr) {
-      std::vector<T> discard;
-      while (ring_->try_pop_n(discard, ring_->capacity()) != 0) {
-        discard.clear();
-      }
+    ring_->consume_n([](T& item) { item = T{}; }, ring_->capacity());
+    {
       std::lock_guard<std::mutex> lock(aux_mu_);
       aux_.clear();
       aux_size_.store(0, std::memory_order_release);
@@ -284,27 +269,19 @@ class StageInbox {
     owner_.store(kRunning);
     kick_.store(false);
     closed_.store(false, std::memory_order_release);
-    if (ring_ != nullptr) {
-      std::lock_guard<std::mutex> lock(sleep_mu_);
-      not_full_.notify_all();
-    }
+    std::lock_guard<std::mutex> lock(sleep_mu_);
+    not_full_.notify_all();
   }
 
-  bool closed() const {
-    return ring_ == nullptr ? queue_.closed()
-                            : closed_.load(std::memory_order_acquire);
-  }
+  bool closed() const { return closed_.load(std::memory_order_acquire); }
 
   std::size_t size() const {
-    if (ring_ == nullptr) return queue_.size();
     return ring_->size() + aux_size_.load(std::memory_order_acquire);
   }
-  std::size_t capacity() const {
-    return ring_ == nullptr ? queue_.capacity() : ring_->capacity();
-  }
+  std::size_t capacity() const { return ring_->capacity(); }
 
  private:
-  /// Who holds the SPSC consumer role (see the header comment).
+  /// Who holds the consumer role (see the header comment).
   enum : std::uint8_t { kRunning, kParked, kClaimed, kReclaim };
 
   /// consume()'s lock-free grab: ring items in place, then aux via scratch.
@@ -368,27 +345,29 @@ class StageInbox {
     }
   }
 
-  const std::size_t capacity_;
-  BoundedQueue<T> queue_;  // mutex mode (also holds capacity semantics)
-
-  // SPSC mode state; unused (ring_ == nullptr) in mutex mode. Read-mostly
-  // fields (ring_, idle_, closed_) share a line; the owner word and the
-  // producer's waiting flag each get their own line because the *peer*
-  // polls them on every publish — a flag sharing a line with state its
+  // The ring has its own allocation: held inline, its consumer line sat
+  // next to closed_ (read on every push) and unpaced chain3 capacity fell
+  // ~9% on a 4-vCPU host. Read-mostly fields (ring_, idle_, spsc_, closed_)
+  // share a line; the owner word, the producer's waiting flag and the
+  // producer mutex each get their own line because the *peer* polls the
+  // first two on every publish — a flag sharing a line with state its
   // owner writes per-batch would ping-pong.
-  std::unique_ptr<SpscRing<T>> ring_;
+  const std::unique_ptr<SpscRing<T>> ring_;
   IdleConfig idle_;
+  bool spsc_ = false;
   std::atomic<bool> closed_{false};
   alignas(detail::kCacheLine) std::atomic<std::uint8_t> owner_{kRunning};
   std::atomic<bool> kick_{false};
   alignas(detail::kCacheLine) std::atomic<bool> producer_waiting_{false};
+  /// Serializes a shared inbox's producers (unused when spsc_).
+  alignas(detail::kCacheLine) std::mutex push_mu_;
   alignas(detail::kCacheLine) std::mutex sleep_mu_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
   mutable std::mutex aux_mu_;
   std::deque<T> aux_;
   std::atomic<std::size_t> aux_size_{0};
-  /// Consumer-thread scratch: consume()'s mutex-mode batch and aux hand-off.
+  /// Consumer-thread scratch for the aux hand-off.
   std::vector<T> scratch_;
 };
 

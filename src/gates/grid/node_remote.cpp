@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -664,7 +665,7 @@ Status spawn_daemon(const DistributedOptions& options, std::size_t index,
       return internal_error("gates_node " + std::to_string(index) +
                             " exited before publishing its port");
     }
-    precise_sleep(0.01);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   if (d.control_port == 0) {
     return unavailable("gates_node " + std::to_string(index) +
@@ -915,7 +916,7 @@ StatusOr<DistributedResult> run_distributed(const DistributedOptions& options) {
     if (clock.now() > deadline) {
       return fail(unavailable("distributed run exceeded max wall time"));
     }
-    precise_sleep(0.05);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
 
   DistributedResult result;
@@ -939,7 +940,7 @@ StatusOr<DistributedResult> run_distributed(const DistributedOptions& options) {
           daemons[k].pid = -1;
           break;
         }
-        precise_sleep(0.02);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
       }
       kill_and_reap(daemons[k]);
     }

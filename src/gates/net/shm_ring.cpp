@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <thread>
 
@@ -84,7 +85,7 @@ StatusOr<std::shared_ptr<ShmRing>> ShmRing::attach(const std::string& name,
     if (clock.now() >= deadline) {
       return unavailable("shm ring '" + name + "' never appeared");
     }
-    precise_sleep(0.001);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // The creator may not have ftruncated yet; wait for a plausible size.
   struct stat st {};
@@ -99,7 +100,7 @@ StatusOr<std::shared_ptr<ShmRing>> ShmRing::attach(const std::string& name,
       ::close(fd);
       return unavailable("shm ring '" + name + "' never sized");
     }
-    precise_sleep(0.001);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   const std::size_t map_bytes = static_cast<std::size_t>(st.st_size);
   void* map = ::mmap(nullptr, map_bytes, PROT_READ | PROT_WRITE, MAP_SHARED,
@@ -116,7 +117,7 @@ StatusOr<std::shared_ptr<ShmRing>> ShmRing::attach(const std::string& name,
       ::close(fd);
       return unavailable("shm ring '" + name + "' never initialized");
     }
-    precise_sleep(0.001);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   auto ring = std::shared_ptr<ShmRing>(new ShmRing());
   ring->name_ = name;

@@ -1,7 +1,9 @@
 #include "gates/net/tcp_link.hpp"
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <thread>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -13,7 +15,6 @@
 #include <unistd.h>
 
 #include "gates/common/clock.hpp"
-#include "gates/common/idle_strategy.hpp"
 
 namespace gates::net {
 namespace {
@@ -169,7 +170,7 @@ Status TcpRemoteLink::ensure_connected(double timeout_seconds) {
         return unavailable("connect to " + host_ + ":" +
                            std::to_string(port_) + " timed out");
       }
-      precise_sleep(0.02);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
   }
   if (!listener_) return failed_precondition("server link has no listener");

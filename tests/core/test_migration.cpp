@@ -462,8 +462,8 @@ TEST(MigrationRt, IdleStageQuiescesWithoutWaitingForABeat) {
   EXPECT_EQ(sink.count_, 2u);
 }
 
-/// As above for a fan-in stage: two producers give it a mutex-mode inbox,
-/// whose timed consume the kick ends as well.
+/// As above for a fan-in stage: two producers give it a shared inbox, whose
+/// timed consume the kick ends as well.
 TEST(MigrationRt, IdleFanInStageQuiescesWithoutWaitingForABeat) {
   auto b = chain_pipeline(2, 1);
   b.spec.sources.push_back(b.spec.sources[0]);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
 #include <map>
@@ -298,7 +299,7 @@ class SequenceRecorder : public StreamProcessor {
 /// source (node 0) -> A (node 1) -> {B (node 2), C (node 3)} over
 /// unthrottled links, so every flow crosses nodes and may take the direct
 /// path. `fan_in` adds a second source (stream 1, node 0) into A, so A has
-/// two producers and reads a mutex inbox.
+/// two producers and reads a shared inbox.
 Built fan_out_tree(std::uint64_t packets, std::size_t input_capacity,
                    bool fan_in = false) {
   Built b;
@@ -340,7 +341,7 @@ std::vector<std::map<StreamId, std::vector<std::uint64_t>>> sink_sequences(
 
 // Every send path the outlet has — direct ring push, staged batch, shaped
 // hand-off — with retention off and on and the profiler off and on, on both
-// the source and the stage side, plus a fan-in case whose A reads a mutex
+// the source and the stage side, plus a fan-in case whose A reads a shared
 // inbox: each sink sees every sequence of every stream once, in order,
 // exactly as in the SimEngine run of the same spec.
 TEST(RtEngineSendPaths, EveryPathDeliversEachPacketOnceInOrder) {
@@ -357,7 +358,7 @@ TEST(RtEngineSendPaths, EveryPathDeliversEachPacketOnceInOrder) {
       {"direct", 200, false, false},
       {"staged (ring full)", 2, false, false},
       {"shaped", 200, true, false},
-      {"fan-in (mutex inbox)", 200, false, true},
+      {"fan-in (shared inbox)", 200, false, true},
   };
   obs::Profiler& profiler = obs::Profiler::global();
   for (const Case& c : cases) {
@@ -398,6 +399,121 @@ TEST(RtEngineSendPaths, EveryPathDeliversEachPacketOnceInOrder) {
     }
   }
   profiler.reset();
+}
+
+/// Two sources (streams 0 and 1, node 0) into one recording stage on node
+/// 1: a fan-in stage, whose flows are shaped when `latency` > 0.
+Built two_sources_into_one(std::uint64_t packets, std::size_t input_capacity,
+                           double latency) {
+  Built b;
+  StageSpec st;
+  st.name = "fan-in";
+  st.input_capacity = input_capacity;
+  st.factory = [] { return std::make_unique<SequenceRecorder>(false); };
+  b.spec.stages = {std::move(st)};
+  SourceSpec src;
+  src.location = 0;
+  src.rate_hz = 1e9;
+  src.total_packets = packets;
+  src.packet_bytes = 32;
+  b.spec.sources = {src};
+  src.stream = 1;
+  b.spec.sources.push_back(src);
+  b.placement.stage_nodes = {1};
+  b.hosts.cpu_factor = {1.0, 1.0};
+  net::LinkSpec link;
+  link.bandwidth = 1e12;
+  link.latency = latency;
+  b.topology.set_default_link(link);
+  return b;
+}
+
+/// source (node 0) -> 2-replica pool (node 1) -> recording sink (node 2).
+Built pool_into_sink(std::uint64_t packets, std::size_t input_capacity) {
+  Built b;
+  StageSpec pool;
+  pool.name = "pool";
+  pool.input_capacity = input_capacity;
+  pool.factory = [] { return std::make_unique<SequenceRecorder>(true); };
+  pool.parallelism.mode = ParallelismMode::kStateless;
+  pool.parallelism.replicas = 2;
+  pool.parallelism.max_replicas = 2;
+  StageSpec sink;
+  sink.name = "sink";
+  sink.input_capacity = input_capacity;
+  sink.factory = [] { return std::make_unique<SequenceRecorder>(false); };
+  b.spec.stages = {std::move(pool), std::move(sink)};
+  b.spec.edges = {{0, 1, 0}};
+  SourceSpec src;
+  src.location = 0;
+  src.rate_hz = 1e9;
+  src.total_packets = packets;
+  src.packet_bytes = 32;
+  b.spec.sources = {src};
+  b.placement.stage_nodes = {1, 2};
+  b.hosts.cpu_factor = {1.0, 1.0, 1.0};
+  net::LinkSpec link;
+  link.bandwidth = 1e12;
+  b.topology.set_default_link(link);
+  return b;
+}
+
+// The three inbox kinds with more than one producer thread, which take the
+// producer lock: a fan-in stage, the stage downstream of a pool (any
+// releasing replica pushes) and a fan-in stage fed by shaped flows. The
+// inboxes are small, so producers park on a full ring. With failover off
+// and on, each stream reaches the sink once, in increasing order, and the
+// sink's multiset equals the SimEngine run of the same spec.
+TEST(RtEngineSharedInbox, EveryMultiProducerInboxMatchesSim) {
+  constexpr std::uint64_t kPackets = 2000;
+  std::vector<std::uint64_t> expected(kPackets);
+  std::iota(expected.begin(), expected.end(), 0);
+  struct Case {
+    const char* name;
+    Built b;
+    std::size_t sink;
+    std::size_t streams;
+    bool shaped;
+  };
+  const Case cases[] = {
+      {"two sources into a fan-in stage", two_sources_into_one(kPackets, 8, 0),
+       0, 2, false},
+      {"2-replica pool into a sink", pool_into_sink(kPackets, 8), 1, 1, false},
+      {"shaped flows into a fan-in stage",
+       two_sources_into_one(kPackets, 8, 1e-3), 0, 2, true},
+  };
+  for (const Case& c : cases) {
+    for (const bool failover : {false, true}) {
+      SCOPED_TRACE(std::string(c.name) +
+                   (failover ? ", failover on" : ", failover off"));
+      RtEngine::Config cfg;
+      cfg.failover.enabled = failover;
+      RtEngine rt(c.b.spec, c.b.placement, c.b.hosts, c.b.topology, cfg);
+      ASSERT_TRUE(rt.run().is_ok());
+      ASSERT_TRUE(rt.report().completed);
+      EXPECT_FALSE(rt.stage_inbox_spsc(c.sink)) << "the sink's inbox is shared";
+      EXPECT_EQ(rt.report().links.size(), c.shaped ? 1u : 0u);
+      const auto& rt_sink =
+          dynamic_cast<SequenceRecorder&>(rt.processor(c.sink)).sequences_;
+      ASSERT_EQ(rt_sink.size(), c.streams);
+      for (const auto& [stream, seqs] : rt_sink) {
+        EXPECT_EQ(seqs, expected) << "stream " << stream;
+      }
+
+      SimEngine::Config sim_cfg;
+      sim_cfg.failover.enabled = failover;
+      SimEngine sim(c.b.spec, c.b.placement, c.b.hosts, c.b.topology, sim_cfg);
+      ASSERT_TRUE(sim.run().is_ok());
+      auto multiset = [](std::map<StreamId, std::vector<std::uint64_t>> m) {
+        for (auto& [stream, seqs] : m) std::sort(seqs.begin(), seqs.end());
+        return m;
+      };
+      EXPECT_EQ(
+          multiset(rt_sink),
+          multiset(dynamic_cast<SequenceRecorder&>(sim.processor(c.sink))
+                       .sequences_));
+    }
+  }
 }
 
 }  // namespace

@@ -21,8 +21,8 @@ std::size_t consume_into(StageInbox<int>& inbox, std::vector<int>& out,
                        timeout_seconds);
 }
 
-// Both modes must satisfy the same blocking batch contract; run the shared
-// cases against each.
+// Both producer sides — shared (the producer lock) and single-producer —
+// must satisfy the same blocking batch contract; run the cases against each.
 class StageInboxModes : public ::testing::TestWithParam<bool> {
  protected:
   std::unique_ptr<StageInbox<int>> make(std::size_t capacity) {
@@ -175,6 +175,8 @@ TEST_P(StageInboxModes, ConsumeSeesEachItemOnceInOrder) {
   }
 }
 
+// "Mutex" is the shared inbox, whose producers hold the producer mutex;
+// "Spsc" is the single-producer inbox, whose pushes take no lock.
 INSTANTIATE_TEST_SUITE_P(MutexAndSpsc, StageInboxModes, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Spsc" : "Mutex";
@@ -182,7 +184,7 @@ INSTANTIATE_TEST_SUITE_P(MutexAndSpsc, StageInboxModes, ::testing::Bool(),
 
 // try_produce is the zero-move fast path: the fill callback writes the slot
 // in place, the consumer sees exactly what was written, and a full or
-// non-SPSC inbox refuses without invoking the callback.
+// shared inbox refuses without invoking the callback.
 TEST(StageInboxSpsc, TryProduceFillsSlotsInPlace) {
   StageInbox<int> inbox(4);
   inbox.use_spsc();
@@ -204,8 +206,8 @@ TEST(StageInboxSpsc, TryProduceFillsSlotsInPlace) {
 }
 
 TEST(StageInbox, TryProduceRefusesInMutexModeAndWhenClosed) {
-  StageInbox<int> mutex_inbox(4);
-  EXPECT_FALSE(mutex_inbox.try_produce([](int& slot) { slot = 1; }));
+  StageInbox<int> shared(4);
+  EXPECT_FALSE(shared.try_produce([](int& slot) { slot = 1; }));
   StageInbox<int> closed(4);
   closed.use_spsc();
   closed.close();
@@ -290,6 +292,90 @@ TEST(StageInboxSpsc, ProducerConsumerWithAuxInjection) {
   EXPECT_EQ(data_count, kItems);
   EXPECT_EQ(aux_count, kAux);
   EXPECT_EQ(data_sum, static_cast<long long>(kItems) * (kItems - 1) / 2);
+}
+
+// Shared inbox under contention: three producer threads mix push_all
+// (batches up to 3x the capacity, some with deferred wakes) and push into a
+// small inbox, so they take the producer lock and park on the full ring; a
+// control thread pushes aux items and kicks; the consumer mixes timed and
+// untimed consumes and stops once closed. Every item arrives exactly once,
+// and each producer's items arrive in the order it pushed them. A TSan
+// build checks that the lock hands the ring's producer side over with
+// happens-before.
+TEST(StageInbox, MultiProducerStress) {
+  StageInbox<int> inbox(8);
+  inbox.set_idle(IdleConfig::park());
+  constexpr int kProducers = 3;
+  constexpr int kPerProducer = 20000;
+  constexpr int kAux = 1000;
+  constexpr int kAuxBase = kProducers * kPerProducer;
+
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      std::mt19937 rng(static_cast<std::uint32_t>(11 + p));
+      std::vector<int> batch;
+      const int base = p * kPerProducer;
+      for (int next = 0; next < kPerProducer;) {
+        switch (rng() % 3) {
+          case 0:
+            ASSERT_TRUE(inbox.push(base + next++));
+            break;
+          default: {
+            batch.clear();
+            const int n = 1 + static_cast<int>(rng() % 24);
+            for (int i = 0; i < n && next < kPerProducer; ++i) {
+              batch.push_back(base + next++);
+            }
+            const std::size_t size = batch.size();
+            const bool defer = rng() % 2 == 0;
+            ASSERT_EQ(inbox.push_all(batch, defer), size);
+            if (defer) inbox.wake_consumer();
+            break;
+          }
+        }
+      }
+    });
+  }
+  std::thread control([&] {
+    for (int i = 0; i < kAux; ++i) {
+      ASSERT_TRUE(inbox.push_aux(kAuxBase + i));
+      if (i % 16 == 0) inbox.kick();
+      if (i % 64 == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+  });
+  std::vector<int> seen;
+  std::thread consumer([&] {
+    auto record = [&](int& v) { seen.push_back(v); };
+    for (std::uint64_t k = 0;; ++k) {
+      const double timeout = k % 3 == 0 ? 0.0005 : -1.0;
+      if (inbox.consume(record, 16, timeout) == 0 && inbox.closed()) break;
+    }
+  });
+  for (std::thread& t : producers) t.join();
+  control.join();
+  inbox.close();
+  consumer.join();
+
+  std::vector<int> next(kProducers, 0);
+  std::vector<bool> aux_seen(kAux, false);
+  for (const int v : seen) {
+    if (v >= kAuxBase) {
+      ASSERT_FALSE(aux_seen[static_cast<std::size_t>(v - kAuxBase)]) << v;
+      aux_seen[static_cast<std::size_t>(v - kAuxBase)] = true;
+    } else {
+      const int p = v / kPerProducer;
+      ASSERT_EQ(v % kPerProducer, next[static_cast<std::size_t>(p)]++)
+          << "producer " << p;
+    }
+  }
+  for (int p = 0; p < kProducers; ++p) {
+    EXPECT_EQ(next[static_cast<std::size_t>(p)], kPerProducer)
+        << "producer " << p;
+  }
+  EXPECT_EQ(std::count(aux_seen.begin(), aux_seen.end(), true), kAux);
 }
 
 // -- serving in place ----------------------------------------------------------

@@ -274,6 +274,55 @@ TEST(StageParallelRt, OverloadGrowsThePoolAtRuntime) {
   EXPECT_TRUE(found);
 }
 
+// The pool's own metrics (published on control ticks and once more at the
+// end of the run) agree with its stage report: the replica gauge reads the
+// final replica count, and the per-replica processed counters add up to the
+// stage's processed packets.
+TEST(StageParallelRt, PoolMetricsMatchTheReport) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  const bool was_enabled = reg.enabled();
+  reg.reset();
+  reg.set_enabled(true);
+  Parallelism par;
+  par.mode = ParallelismMode::kStateless;
+  par.replicas = 2;
+  par.max_replicas = 2;
+  auto b = pool_chain(2000, 10000, par);
+  RtEngine::Config cfg;
+  cfg.control_period = 0.01;
+  cfg.adaptation_enabled = false;
+  RtEngine engine(b.spec, b.placement, b.hosts, b.topology, cfg);
+  const Status status = engine.run();
+  const obs::MetricsSnapshot metrics = engine.report().metrics;
+  reg.reset();
+  reg.set_enabled(was_enabled);
+  ASSERT_TRUE(status.is_ok());
+  ASSERT_TRUE(engine.report().completed);
+  const auto* pool = engine.report().stage("pool");
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->packets_processed, 2000u);
+
+  const std::string gauge_key =
+      obs::metric_key("gates_stage_replicas", {{"stage", "pool"}});
+  const std::string counter_prefix =
+      "gates_stage_replica_packets_processed{stage=\"pool\",";
+  bool saw_gauge = false;
+  std::size_t counters = 0;
+  double processed = 0;
+  for (const obs::MetricSample& m : metrics) {
+    if (m.key == gauge_key) {
+      saw_gauge = true;
+      EXPECT_EQ(m.value, static_cast<double>(pool->final_replicas));
+    } else if (m.key.rfind(counter_prefix, 0) == 0) {
+      ++counters;
+      processed += m.value;
+    }
+  }
+  EXPECT_TRUE(saw_gauge);
+  EXPECT_EQ(counters, 2u);
+  EXPECT_EQ(processed, static_cast<double>(pool->packets_processed));
+}
+
 // -- SimEngine: replica pools as multiplied service rate ---------------------
 
 Built sim_adaptive_chain(double rate, double pool_cost,
