@@ -33,9 +33,10 @@ void sleep_seconds(Duration s) {
   if (s > 0) std::this_thread::sleep_for(std::chrono::duration<double>(s));
 }
 
-/// A generator call for a batch's first packet that takes longer than this
-/// blocked for its input (a schedule, a socket, a file): the source is
-/// idle, not saturated. A non-blocking generator returns in well under 1 µs.
+/// A generator call for a batch's first packet, or a remote ingress's recv
+/// of its next frame, that takes longer than this blocked for its input (a
+/// schedule, a socket, a file): the source is idle, not saturated. A
+/// non-blocking generator returns in well under 1 µs.
 constexpr Duration kInputWait = 20e-6;
 
 }  // namespace
@@ -105,15 +106,21 @@ struct RtEngine::ReplayChannel {
   std::mutex mu;
   RetentionRing ring;
   std::uint64_t evicted_reported = 0;
-  /// Remote-ingress hook: invoked with the local seqs of every ack after
-  /// the ring releases them, so the ingress worker can translate them to
-  /// wire seqs and propagate the release to the sending process. Installed
-  /// before any worker thread starts (engine setup) and immutable after.
-  std::function<void(const std::vector<std::uint64_t>&)> ack_forward;
+  /// A remote ingress's channel (set at engine setup, before any thread
+  /// starts): each retained packet's `sequence` is its wire seq, and an ack
+  /// of the local seq releases that wire seq to the sending process. The
+  /// pairs live beside the ring, not in it, so an entry the ring evicted
+  /// still forwards its wire ack once it is processed.
+  bool forwards_wire_acks = false;
+  std::unordered_map<std::uint64_t, std::uint64_t> wire_seq_of;
+  /// Wire seqs acked here and not yet taken by the ingress (take_wire_acks).
+  std::vector<std::uint64_t> wire_acks;
 
   std::uint64_t retain(const Packet& packet) {
     std::lock_guard<std::mutex> lock(mu);
-    return ring.retain(packet);
+    const std::uint64_t seq = ring.retain(packet);
+    if (forwards_wire_acks) wire_seq_of.emplace(seq, packet.sequence);
+    return seq;
   }
 
   /// Stamps origin and seq onto every item of an outgoing batch under one
@@ -125,6 +132,11 @@ struct RtEngine::ReplayChannel {
       item.origin = this;
       item.seq = ring.retain(item.packet);
     }
+    if (forwards_wire_acks) {
+      for (const auto& item : items) {
+        wire_seq_of.emplace(item.seq, item.packet.sequence);
+      }
+    }
   }
 
   /// Exact, not cumulative: across a restart, a replayed tail interleaves
@@ -132,11 +144,25 @@ struct RtEngine::ReplayChannel {
   /// were delivered — acking only what was actually processed keeps the
   /// undelivered tail replayable.
   void ack_batch(const std::vector<std::uint64_t>& seqs) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      for (const std::uint64_t seq : seqs) ring.ack_exact(seq);
+    std::lock_guard<std::mutex> lock(mu);
+    for (const std::uint64_t seq : seqs) ring.ack_exact(seq);
+    if (forwards_wire_acks) {
+      for (const std::uint64_t seq : seqs) {
+        const auto it = wire_seq_of.find(seq);
+        if (it == wire_seq_of.end()) continue;  // a replayed duplicate
+        wire_acks.push_back(it->second);
+        wire_seq_of.erase(it);
+      }
     }
-    if (ack_forward) ack_forward(seqs);
+  }
+
+  /// Remote ingress: appends the wire seqs acked since the last call to
+  /// `out`; returns whether retained wire seqs are still unacked.
+  bool take_wire_acks(std::vector<std::uint64_t>& out) {
+    std::lock_guard<std::mutex> lock(mu);
+    out.insert(out.end(), wire_acks.begin(), wire_acks.end());
+    wire_acks.clear();
+    return !wire_seq_of.empty();
   }
 
   std::vector<std::pair<std::uint64_t, Packet>> snapshot() {
@@ -228,7 +254,10 @@ class RtEngine::Outlet {
   std::size_t flush(bool idle = false);
   /// EOS rides the shaper in FIFO order but is never subject to loss or
   /// jitter — termination stays reliable on any link. `idle` as in flush().
-  void send_eos(StreamId stream, bool idle = false);
+  /// `sequence`: a remote ingress passes the EOS frame's wire seq, which the
+  /// channel forwards as that frame's ack.
+  void send_eos(StreamId stream, bool idle = false,
+                std::uint64_t sequence = 0);
   /// Drops the staged batch (a pool restart discards half-staged outputs;
   /// their inputs were never acked, so upstream replay regenerates them).
   void discard();
@@ -1760,9 +1789,11 @@ void RtEngine::Outlet::flush_shaped() {
   shaper->deliver_after(extra, transit.get(), transit->check_in(items_));
 }
 
-void RtEngine::Outlet::send_eos(StreamId stream, bool idle) {
+void RtEngine::Outlet::send_eos(StreamId stream, bool idle,
+                                std::uint64_t sequence) {
   gate->acquire(engine_->config_.wire.per_message_overhead);
   FlowItem item{Packet::eos(stream, engine_->clock_.now()), nullptr, 0};
+  item.packet.sequence = sequence;
   if (channel) {
     item.origin = channel.get();
     item.seq = channel->retain(item.packet);
@@ -1805,25 +1836,11 @@ class RtEngine::SourceWorker {
 
   /// Turns this source into a remote inlet (engine setup, before start()):
   /// instead of generating packets it decodes frames from `link` and feeds
-  /// the local target stage. Installs the replay channel's ack-forward
-  /// hook here — before any thread exists — so downstream acks translate
-  /// to wire acks race-free from the first packet.
+  /// the local target stage through its outlet. Its replay channel, if
+  /// any, forwards acks as wire acks from the first packet on.
   void set_remote_ingress(std::shared_ptr<net::RemoteLink> link) {
     remote_ingress_ = std::move(link);
-    ack_state_ = std::make_shared<IngressAckState>();
-    if (outlet_.channel) {
-      auto state = ack_state_;
-      outlet_.channel->ack_forward =
-          [state](const std::vector<std::uint64_t>& seqs) {
-            std::lock_guard<std::mutex> lock(state->mu);
-            for (const std::uint64_t s : seqs) {
-              auto it = state->local_to_wire.find(s);
-              if (it == state->local_to_wire.end()) continue;
-              state->pending.push_back(it->second);
-              state->local_to_wire.erase(it);
-            }
-          };
-    }
+    if (outlet_.channel) outlet_.channel->forwards_wire_acks = true;
   }
 
   /// horizon <= 0 means "run until total_packets".
@@ -1839,9 +1856,9 @@ class RtEngine::SourceWorker {
  private:
   void run_loop() {
     if (pin_core_ >= 0) pin_current_thread_to_core(pin_core_);
-    if (remote_ingress_) return run_loop_remote_ingress();
     const bool tracer_active = obs::PacketTracer::global().active();
     outlet_.arm(obs::Profiler::global().enabled(), tracer_active);
+    if (remote_ingress_) return run_loop_remote_ingress();
     const std::string trace_name = "source:" + std::to_string(spec_.stream);
     const std::size_t max_batch = std::max<std::size_t>(
         engine_.config_.batching.max_batch, 1);
@@ -1958,48 +1975,35 @@ class RtEngine::SourceWorker {
   }
 
   /// Remote inlet: receives DATA frames from the ingress link, lands each
-  /// payload in an arena block (the decode's one copy), and pushes the
-  /// batch into the local target stage through the same gate/retention
-  /// discipline as a generating source — the throttle reproduces the
-  /// original cross-node bandwidth, and the ReplayChannel makes the wire
-  /// hop transparent to local failover. Wire acks are deferred until
-  /// downstream processing acks the local retention (the ack_forward hook
-  /// translates local seqs back to wire seqs), so the sender's ring only
-  /// releases what this process durably handled. Without failover there is
-  /// no local retention and delivery into the inbox acks immediately.
+  /// payload in an arena block (the decode's one copy), and sends them into
+  /// the local target stage through the outlet, as a generating source
+  /// does: the throttle reproduces the original cross-node bandwidth, the
+  /// ReplayChannel makes the wire hop transparent to local failover, and a
+  /// frame that the ingress waited for serves a parked target in place.
+  /// Wire acks are deferred until downstream processing acks the local
+  /// retention (the channel translates local seqs back to wire seqs), so
+  /// the sender's ring only releases what this process durably handled.
+  /// Without failover there is no local retention and delivery into the
+  /// inbox acks at once.
   void run_loop_remote_ingress() {
     net::RemoteLink& link = *remote_ingress_;
-    const bool failover = engine_.config_.failover.enabled;
+    // Null without failover.
+    ReplayChannel* const channel = outlet_.channel.get();
     obs::PhaseClock* profile = obs::Profiler::global().enabled()
                                    ? &obs::Profiler::global().stage(spec_.name)
                                    : nullptr;
-    std::vector<FlowItem> items;
-    std::vector<std::uint64_t> wire_seqs;
-    std::vector<std::uint64_t> flush_acks;
+    // Wire seqs to ack back to the sender; kept across a failed send.
+    std::vector<std::uint64_t> acks;
+    bool unacked = false;
     bool eos_seen = false;
     TimePoint eos_at = 0;
-    auto outstanding = [&]() -> bool {
-      std::lock_guard<std::mutex> lock(ack_state_->mu);
-      return !ack_state_->local_to_wire.empty() ||
-             !ack_state_->pending.empty();
-    };
     while (!stop_.load(std::memory_order_acquire)) {
       // Propagate releases: whatever downstream acked since the last pass
-      // goes back to the sender as one exact-ack frame.
-      flush_acks.clear();
-      {
-        std::lock_guard<std::mutex> lock(ack_state_->mu);
-        flush_acks.swap(ack_state_->pending);
-      }
-      if (!flush_acks.empty()) {
-        if (Status s = link.send_acks(flush_acks); !s.is_ok()) {
-          // Link broken: re-stash; the recv below fails too and recovers.
-          std::lock_guard<std::mutex> lock(ack_state_->mu);
-          ack_state_->pending.insert(ack_state_->pending.end(),
-                                     flush_acks.begin(), flush_acks.end());
-        }
-      }
-      if (eos_seen && !outstanding()) break;
+      // goes back to the sender as one exact-ack frame. A broken link keeps
+      // them for the next pass; the recv below fails too and recovers.
+      if (channel != nullptr) unacked = channel->take_wire_acks(acks);
+      if (!acks.empty() && link.send_acks(acks).is_ok()) acks.clear();
+      if (eos_seen && !unacked && acks.empty()) break;
       if (eos_seen &&
           clock_.now() - eos_at >
               engine_.config_.remote.eos_barrier_timeout) {
@@ -2008,11 +2012,12 @@ class RtEngine::SourceWorker {
             << "' exiting with unacked wire packets (barrier timeout)";
         break;
       }
+      const TimePoint polled = clock_.now();
       auto ev = link.recv(0.001);
       if (!ev.ok()) {
-        if (!failover) {
-          // Legacy semantics: a dead peer degrades to EOS so the local
-          // pipeline still terminates.
+        if (channel == nullptr) {
+          // Legacy semantics without failover: a dead peer degrades to EOS
+          // so the local pipeline still terminates.
           GATES_LOG(kWarn, "rt-engine")
               << "ingress '" << spec_.name << "' lost link '" << link.name()
               << "': " << ev.status().to_string();
@@ -2025,102 +2030,54 @@ class RtEngine::SourceWorker {
         continue;
       }
       net::RecvEvent& e = ev.value();
-      switch (e.kind) {
-        case net::RecvEvent::Kind::kData: {
-          const TimePoint t0 = profile != nullptr ? clock_.now() : 0;
-          const TimePoint now = clock_.now();
-          items.clear();
-          wire_seqs.clear();
-          std::size_t wire_bytes = 0;
-          for (auto& wp : e.packets) {
-            FlowItem item;
-            item.packet.stream = wp.stream;
-            item.packet.sequence = wp.seq;
-            item.packet.created_at = now;  // latency restarts at the hop
-            item.packet.kind = wp.kind;
-            item.packet.records = wp.records;
-            item.packet.payload = std::move(wp.payload);
-            wire_bytes += engine_.config_.wire.wire_size(
-                item.packet.payload_bytes(), item.packet.records);
-            wire_seqs.push_back(wp.seq);
-            items.push_back(std::move(item));
-          }
-          if (profile != nullptr) {
-            profile->add(obs::Phase::kDeserialize, clock_.now() - t0);
-            profile->add_packets(items.size());
-          }
-          outlet_.gate->acquire(wire_bytes);
-          if (outlet_.channel) {
-            outlet_.channel->retain_batch(items);
-            std::lock_guard<std::mutex> lock(ack_state_->mu);
-            for (std::size_t i = 0; i < items.size(); ++i) {
-              ack_state_->local_to_wire[items[i].seq] = wire_seqs[i];
-            }
-          }
-          const std::size_t n = items.size();
-          if (outlet_.dest->queue().push_all(items) < n) {
-            items.clear();
-            // Force-stopped with nothing to replay.
-            if (!outlet_.channel) return;
-          }
-          if (!outlet_.channel) {
-            // No local retention: delivery into the inbox is the ack.
-            std::lock_guard<std::mutex> lock(ack_state_->mu);
-            ack_state_->pending.insert(ack_state_->pending.end(),
-                                       wire_seqs.begin(), wire_seqs.end());
-          }
-          break;
-        }
-        case net::RecvEvent::Kind::kEos: {
-          eos_seen = true;
-          eos_at = clock_.now();
-          Packet eos = Packet::eos(spec_.stream, clock_.now());
-          FlowItem item{std::move(eos), nullptr, 0};
-          if (outlet_.channel) {
-            item.origin = outlet_.channel.get();
-            item.seq = outlet_.channel->retain(item.packet);
-            std::lock_guard<std::mutex> lock(ack_state_->mu);
-            ack_state_->local_to_wire[item.seq] = e.base_seq;
-          }
-          outlet_.dest->queue().push(std::move(item));
-          if (!outlet_.channel) {
-            std::lock_guard<std::mutex> lock(ack_state_->mu);
-            ack_state_->pending.push_back(e.base_seq);
-          }
-          break;
-        }
-        case net::RecvEvent::Kind::kShutdown:
-          return;
-        default:
-          break;  // kNone poll timeout, or control noise — ignore
+      if (e.kind == net::RecvEvent::Kind::kShutdown) return;
+      if (e.kind != net::RecvEvent::Kind::kData &&
+          e.kind != net::RecvEvent::Kind::kEos) {
+        continue;  // kNone poll timeout, or control noise — ignore
       }
+      // The recv blocked for this frame: the ingress is idle, as a source
+      // whose generator waited, and serves a parked target in place.
+      const TimePoint now = clock_.now();
+      const bool waited = now - polled > kInputWait;
+      if (e.kind == net::RecvEvent::Kind::kEos) {
+        eos_seen = true;
+        eos_at = now;
+        outlet_.send_eos(spec_.stream, waited, e.base_seq);
+        if (channel == nullptr) acks.push_back(e.base_seq);
+        continue;
+      }
+      std::size_t refused = 0;
+      for (auto& wp : e.packets) {
+        Packet packet;
+        packet.stream = wp.stream;
+        packet.sequence = wp.seq;  // the wire seq the channel acks with
+        packet.created_at = now;   // latency restarts at the hop
+        packet.kind = wp.kind;
+        packet.records = wp.records;
+        packet.payload = std::move(wp.payload);
+        refused += outlet_.stage(std::move(packet));
+      }
+      if (profile != nullptr) {
+        profile->add(obs::Phase::kDeserialize, clock_.now() - now);
+        profile->add_packets(e.packets.size());
+      }
+      refused += outlet_.flush(waited);
+      if (channel != nullptr) continue;
+      // Force-stopped with nothing to replay.
+      if (refused != 0) return;
+      // No local retention: delivery into the inbox is the ack.
+      for (const auto& wp : e.packets) acks.push_back(wp.seq);
     }
     // Last chance for the sender's barrier: push out anything still
     // pending (best effort — the link may be gone).
-    flush_acks.clear();
-    {
-      std::lock_guard<std::mutex> lock(ack_state_->mu);
-      flush_acks.swap(ack_state_->pending);
-    }
-    if (!flush_acks.empty()) (void)link.send_acks(flush_acks);
+    if (channel != nullptr) channel->take_wire_acks(acks);
+    if (!acks.empty()) (void)link.send_acks(acks);
   }
-
-  /// Remote-ingress ack bookkeeping, shared between this worker (records
-  /// local→wire seq mappings, flushes pending) and whichever downstream
-  /// thread runs the ReplayChannel ack (appends to pending via the
-  /// ack_forward hook). Heap-shared so the hook's captured state outlives
-  /// any particular loop iteration.
-  struct IngressAckState {
-    std::mutex mu;
-    std::unordered_map<std::uint64_t, std::uint64_t> local_to_wire;
-    std::vector<std::uint64_t> pending;  // wire seqs ready to send back
-  };
 
   RtEngine& engine_;
   const SourceSpec& spec_;
   Outlet outlet_;
   std::shared_ptr<net::RemoteLink> remote_ingress_;
-  std::shared_ptr<IngressAckState> ack_state_;
   Rng rng_;
   const Clock& clock_;
   std::thread thread_;
@@ -2274,11 +2231,14 @@ Status RtEngine::setup() {
   for (std::size_t i = 0; i < spec_.sources.size(); ++i) {
     const auto& src = spec_.sources[i];
     const NodeId to = placement_.stage_nodes[src.target_stage];
+    // A remote inlet's packets crossed a real link: a shaper would drop
+    // wire packets that no one replays, so its outlet has none.
+    const bool remote = config_.remote.ingress_links.count(i) != 0;
     sources_.push_back(std::make_unique<SourceWorker>(
         *this, src,
         Outlet(*this, gate_for_flow(src.location, to),
                stages_[src.target_stage].get(), 0,
-               shaper_for_flow(src.location, to)),
+               remote ? nullptr : shaper_for_flow(src.location, to)),
         root_rng_.fork(i), clock_));
   }
   for (std::size_t i = 0; i < spec_.stages.size(); ++i) {
@@ -2297,21 +2257,15 @@ Status RtEngine::setup() {
   // A shaped flow's pushes come from its shaper thread, which may be shared
   // with other flows into the same stage — count it like a pooled upstream
   // (2) so the inbox conservatively stays shared.
-  auto flow_shaped = [this](NodeId from, NodeId to) {
-    return shapers_.count(flow_key(from, to).first) != 0;
-  };
-  for (const auto& edge : spec_.edges) {
-    const bool pooled_upstream =
-        spec_.stages[edge.from_stage].parallelism.mode !=
-        ParallelismMode::kSerial;
-    const bool shaped = flow_shaped(placement_.stage_nodes[edge.from_stage],
-                                    placement_.stage_nodes[edge.to_stage]);
-    producers[edge.to_stage] += (pooled_upstream || shaped) ? 2 : 1;
+  for (auto& stage : stages_) {
+    for (const Outlet& route : stage->routes()) {
+      const bool shared = stage->pooled() || route.shaper != nullptr;
+      producers[route.dest->stage_id()] += shared ? 2 : 1;
+    }
   }
-  for (const auto& src : spec_.sources) {
-    const bool shaped =
-        flow_shaped(src.location, placement_.stage_nodes[src.target_stage]);
-    producers[src.target_stage] += shaped ? 2 : 1;
+  for (const auto& source : sources_) {
+    const Outlet& outlet = source->outlet();
+    producers[outlet.dest->stage_id()] += outlet.shaper != nullptr ? 2 : 1;
   }
   for (std::size_t i = 0; i < stages_.size(); ++i) {
     if (producers[i] == 1) stages_[i]->queue().use_spsc();

@@ -94,8 +94,10 @@ class RtEngine {
     /// RetentionRing released by exact acks from the wire so replay works
     /// across a peer restart. An ingress link turns the indexed source
     /// into a remote inlet: its run loop decodes frames from the link and
-    /// feeds the local target stage, acking upstream as items clear local
-    /// processing. Both maps are empty for single-process runs.
+    /// sends them through the source's outlet like any source's packets
+    /// (throttle, retention, serving a parked target in place; never a
+    /// shaper), acking upstream as items clear local processing. Both maps
+    /// are empty for single-process runs.
     struct Remote {
       std::map<std::size_t, std::shared_ptr<net::RemoteLink>> egress_links;
       std::map<std::size_t, std::shared_ptr<net::RemoteLink>> ingress_links;
@@ -231,7 +233,6 @@ class RtEngine {
 
   Status setup();
   Status execute(Duration source_horizon);
-  void control_loop();
   std::shared_ptr<ThrottleGate> gate_for_flow(NodeId from, NodeId to);
   /// Canonical gate/shaper map key for a flow (loopback / shared-ingress /
   /// pair) plus the flow's configured topology spec.

@@ -4,14 +4,17 @@
 // un-checkpointable processors, and per-shard restore on pooled stages.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gates/common/byte_buffer.hpp"
 #include "gates/common/serialize.hpp"
 #include "gates/core/checkpoint.hpp"
+#include "gates/core/failover.hpp"
 #include "gates/core/migration.hpp"
 #include "gates/core/rt_engine.hpp"
 #include "gates/core/sim_engine.hpp"
@@ -441,6 +444,49 @@ TEST(MigrationRt, MigratingAServedStageKeepsItsDigest) {
 TEST(MigrationRt, MigratingTheSourcesServedStageKeepsItsDigest) {
   expect_served_stage_migration_keeps_digest(
       [] { return chain_pipeline(2000, 5000); }, 0);
+}
+
+/// A request with no target and no migration provider re-matchmakes with
+/// least_loaded_target over the other live stages. Chain and sink share
+/// node 1 here, so the pick is an idle node, and the migrated chain keeps
+/// the sink's digest.
+TEST(MigrationRt, RequestWithoutATargetPicksTheLeastLoadedNode) {
+  auto make = [] {
+    Built b = chain_pipeline(2000, 5000);
+    b.placement.stage_nodes = {1, 1};
+    return b;
+  };
+  std::uint64_t baseline = 0;
+  {
+    auto base = make();
+    RtEngine engine(base.spec, base.placement, base.hosts, base.topology,
+                    rt_failover_config());
+    ASSERT_TRUE(engine.run().is_ok());
+    baseline = dynamic_cast<DigestSink&>(engine.processor(1)).digest_;
+  }
+  auto b = make();
+  const auto expected = least_loaded_target(
+      b.spec, b.hosts, b.placement.stage_nodes, [](NodeId) { return true; },
+      [](std::size_t i) { return i != 0; });
+  ASSERT_TRUE(expected.has_value());
+  ASSERT_NE(expected->node, 1u);
+  RtEngine engine(b.spec, b.placement, b.hosts, b.topology,
+                  rt_failover_config());
+  std::thread requester([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    engine.request_migration(0);
+  });
+  EXPECT_TRUE(engine.run().is_ok());
+  requester.join();
+  EXPECT_TRUE(engine.report().completed);
+  ASSERT_EQ(engine.report().migrations.size(), 1u);
+  const MigrationRecord& m = engine.report().migrations[0];
+  EXPECT_EQ(m.outcome, MigrationRecord::Outcome::kCompleted);
+  EXPECT_EQ(m.from, 1u);
+  EXPECT_EQ(m.to, expected->node);
+  auto& sink = dynamic_cast<DigestSink&>(engine.processor(1));
+  EXPECT_EQ(sink.count_, 2000u);
+  EXPECT_EQ(sink.digest_, baseline);
 }
 
 /// A stage parked between packets of a 1 packet/s stream quiesces at once:
