@@ -1,10 +1,10 @@
 // Tunable idle behavior for hot-path waits.
 //
-// The engines' waits used to be bare condvar parks (StageInbox, ReorderMerge)
-// and raw sleep_for pacing (source rate control, throttle gates). Parking is
-// right for sparse traffic but costs a wake syscall + scheduling latency per
-// handoff; raw sleep_for under-delivers sub-millisecond sleeps by the timer
-// slack. IdleStrategy makes the trade explicit:
+// The engines' waits used to be bare parks (StageInbox, ReorderMerge, the
+// shm ring) and raw sleep_for pacing (source rate control, throttle gates).
+// Parking is right for sparse traffic but costs a wake syscall + scheduling
+// latency per handoff; raw sleep_for under-delivers sub-millisecond sleeps by
+// the timer slack. IdleStrategy makes the trade explicit:
 //
 //   spin      — busy-poll with cpu pauses (periodically yielding so a
 //               core-starved box still makes progress); never parks.
@@ -17,7 +17,8 @@
 // on more than one CPU, yield-then-park when it may run on one.
 //
 // Waiters drive it as:  IdleStrategy idle(cfg); while (!ready()) {
-// if (idle.should_park()) <condvar wait>; }  — reset() after progress.
+// if (idle.should_park()) <EventCount await>; }  — reset() after progress
+// (common/event_count.hpp is the one parking primitive).
 //
 // precise_sleep() is the pacing analogue: coarse sleep_for for the bulk,
 // then spin out the tail so sub-millisecond rates don't accumulate timer
@@ -84,7 +85,7 @@ class IdleStrategy {
   explicit IdleStrategy(const IdleConfig& config) : config_(config) {}
 
   /// One idle step. Returns true when the caller should fall back to its
-  /// parking primitive (condvar wait); kSpin never does.
+  /// parking primitive (an EventCount wait); kSpin never does.
   bool should_park() {
     switch (config_.mode) {
       case IdleConfig::kSpin:

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -24,6 +23,7 @@
 #include <vector>
 
 #include "gates/common/clock.hpp"
+#include "gates/common/event_count.hpp"
 #include "gates/common/idle_strategy.hpp"
 #include "gates/common/status.hpp"
 #include "gates/core/failover.hpp"
@@ -226,10 +226,9 @@ class RtEngine {
   /// and stage routes use the same one.
   class Outlet;
 
-  /// Workers signal this after setting their finished flag so the control
-  /// loop wakes immediately instead of discovering completion up to one
-  /// control period late (a visible bias on short benchmark runs).
-  void notify_stage_finished();
+  /// A stage finished, quiesced or crashed: ends the control thread's wait
+  /// (its period, a migration's quiesce) at once, not a period late.
+  void wake_control() { control_wake_.notify_all(); }
 
   Status setup();
   Status execute(Duration source_horizon);
@@ -305,9 +304,8 @@ class RtEngine {
   /// Atomic so health_json() (introspection thread) can check it against a
   /// concurrently running setup().
   std::atomic<bool> setup_done_{false};
-  /// Completion wakeup (see notify_stage_finished()).
-  std::mutex done_mu_;
-  std::condition_variable done_cv_;
+  /// The control thread parks here (see wake_control()).
+  EventCount control_wake_;
   RunReport report_;
 };
 

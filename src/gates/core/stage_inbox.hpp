@@ -30,12 +30,13 @@
 // Sleep/wake protocol: ring pushes and pops are lock-free; a side that finds
 // the ring full (producer) or empty (consumer) first runs its IdleStrategy
 // (spin→yield per the configured mode), and only when that says to park does
-// it register itself, re-check, and sleep on a condvar. The opposite side
-// publishes its batch, issues a seq_cst fence, and only takes the wakeup
-// mutex when the peer is actually asleep — so the steady-state path never
-// touches the mutex, and the store(batch)/load(flag) vs store(flag)/
-// load(batch) races that would lose a wakeup are fenced out. A shared
-// inbox parks at most one producer (the one holding the producer mutex).
+// it wait on its direction's EventCount (common/event_count.hpp): register,
+// re-check, sleep on the futex. The opposite side publishes its batch and
+// notifies (a producer only once the owner word below says parked), which
+// with nobody asleep is one fence and one load — so the steady-state path
+// makes no syscall, and the eventcount's epoch rules out a lost wakeup. A
+// shared inbox parks at most one producer (the one holding the producer
+// mutex).
 //
 // Serving in place (single-producer inboxes): the consumer registers its
 // park by storing kParked in an owner word. While it sleeps, the producer
@@ -52,8 +53,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -62,6 +61,7 @@
 #include <vector>
 
 #include "gates/common/check.hpp"
+#include "gates/common/event_count.hpp"
 #include "gates/common/idle_strategy.hpp"
 #include "gates/common/spsc_ring.hpp"
 
@@ -116,14 +116,10 @@ class StageInbox {
       // consumer frees slots — after waking it, or both sides sleep.
       if (!idle.should_park()) continue;
       wake_consumer();
-      std::unique_lock<std::mutex> lock(sleep_mu_);
-      producer_waiting_.store(true, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      not_full_.wait(lock, [&] {
+      producer_wake_.await([&] {
         return ring_->size() < ring_->capacity() ||
                closed_.load(std::memory_order_acquire);
       });
-      producer_waiting_.store(false, std::memory_order_relaxed);
       idle.reset();
     }
     if (pushed == items.size()) items.clear();
@@ -149,8 +145,7 @@ class StageInbox {
   void wake_consumer() {
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (owner_.load(std::memory_order_relaxed) == kParked) {
-      std::lock_guard<std::mutex> lock(sleep_mu_);
-      not_empty_.notify_all();
+      consumer_wake_.notify_all();
     }
   }
 
@@ -191,8 +186,7 @@ class StageInbox {
         return;
       }
     }
-    std::lock_guard<std::mutex> lock(sleep_mu_);
-    not_empty_.notify_all();
+    consumer_wake_.notify_all();
   }
 
   /// Control-plane push from any thread (replay re-injection, EOS on a
@@ -238,7 +232,7 @@ class StageInbox {
       again = park(timeout_seconds);
       n = take_in_place(f, max);
     }
-    if (n != 0) wake_producer();
+    if (n != 0) producer_wake_.notify_all();
     return n;
   }
 
@@ -247,12 +241,10 @@ class StageInbox {
   /// Wakes all waiters; subsequent pushes fail, drains empty what remains.
   void close() {
     closed_.store(true);
-    // Pairs with release_claim(): a worker asleep behind a claim is woken
-    // by whichever side sees the other's store.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    std::lock_guard<std::mutex> lock(sleep_mu_);
-    not_empty_.notify_all();
-    not_full_.notify_all();
+    // The notify's fence pairs with release_claim(): a worker asleep behind
+    // a claim is woken by whichever side sees the other's store.
+    consumer_wake_.notify_all();
+    producer_wake_.notify_all();
   }
 
   /// Reverses close() and discards queued input (crash-restart path: the
@@ -269,8 +261,7 @@ class StageInbox {
     owner_.store(kRunning);
     kick_.store(false);
     closed_.store(false, std::memory_order_release);
-    std::lock_guard<std::mutex> lock(sleep_mu_);
-    not_full_.notify_all();
+    producer_wake_.notify_all();
   }
 
   bool closed() const { return closed_.load(std::memory_order_acquire); }
@@ -309,10 +300,10 @@ class StageInbox {
   /// a claim in progress. Returns whether an untimed consume that finds
   /// nothing should park again (not once kicked or closed).
   bool park(double timeout_seconds) {
-    std::unique_lock<std::mutex> lock(sleep_mu_);
+    // prepare_wait()'s fence orders this store before the re-checks below,
+    // pairing with the fence in wake_consumer().
     owner_.store(kParked);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    // The predicate only peeks at sizes: `f` must not run under sleep_mu_
+    // The predicate only peeks at sizes: `f` must not run while parking
     // (it may park on a downstream inbox).
     auto ready = [&] {
       return owner_.load() != kClaimed &&
@@ -320,15 +311,14 @@ class StageInbox {
               kick_.load());
     };
     if (timeout_seconds < 0) {
-      not_empty_.wait(lock, ready);
+      consumer_wake_.await(ready);
     } else {
-      not_empty_.wait_for(lock, std::chrono::duration<double>(timeout_seconds),
-                          ready);
+      consumer_wake_.await(ready, deadline_after(timeout_seconds));
     }
     for (std::uint8_t s = kParked; !owner_.compare_exchange_strong(s, kRunning);
          s = kParked) {
       if (s == kClaimed && owner_.compare_exchange_strong(s, kReclaim)) {
-        not_empty_.wait(lock, [&] { return owner_.load() == kRunning; });
+        consumer_wake_.await([&] { return owner_.load() == kRunning; });
         break;
       }
     }
@@ -336,34 +326,24 @@ class StageInbox {
     return timeout_seconds < 0 && !kicked && !closed_.load();
   }
 
-  /// Post-pop wakeup of a producer parked on a full ring.
-  void wake_producer() {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (producer_waiting_.load(std::memory_order_relaxed)) {
-      std::lock_guard<std::mutex> lock(sleep_mu_);
-      not_full_.notify_all();
-    }
-  }
-
   // The ring has its own allocation: held inline, its consumer line sat
   // next to closed_ (read on every push) and unpaced chain3 capacity fell
   // ~9% on a 4-vCPU host. Read-mostly fields (ring_, idle_, spsc_, closed_)
-  // share a line; the owner word, the producer's waiting flag and the
-  // producer mutex each get their own line because the *peer* polls the
-  // first two on every publish — a flag sharing a line with state its
-  // owner writes per-batch would ping-pong.
+  // share a line; the owner word (with the consumer's eventcount, which
+  // the producer reads only when the owner word says parked), the
+  // producer's eventcount and the producer mutex each get their own line
+  // because the *peer* polls the first two on every publish — a word
+  // sharing a line with state its owner writes per-batch would ping-pong.
   const std::unique_ptr<SpscRing<T>> ring_;
   IdleConfig idle_;
   bool spsc_ = false;
   std::atomic<bool> closed_{false};
   alignas(detail::kCacheLine) std::atomic<std::uint8_t> owner_{kRunning};
   std::atomic<bool> kick_{false};
-  alignas(detail::kCacheLine) std::atomic<bool> producer_waiting_{false};
+  EventCount consumer_wake_;
+  alignas(detail::kCacheLine) EventCount producer_wake_;
   /// Serializes a shared inbox's producers (unused when spsc_).
   alignas(detail::kCacheLine) std::mutex push_mu_;
-  alignas(detail::kCacheLine) std::mutex sleep_mu_;
-  std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   mutable std::mutex aux_mu_;
   std::deque<T> aux_;
   std::atomic<std::size_t> aux_size_{0};
@@ -372,7 +352,7 @@ class StageInbox {
 };
 
 static_assert(alignof(StageInbox<int>) == detail::kCacheLine,
-              "the owner word and the producer's flag must not share a line");
+              "the owner word and producer_wake_ must not share a line");
 
 /// Order-preserving merge window for a replicated stage.
 ///
@@ -413,22 +393,21 @@ class ReorderMerge {
   /// Dispatcher side: waits for sequence `seq` to fit in the window.
   /// Returns false iff closed.
   bool acquire(std::uint64_t seq) {
-    // Fast path off the published release point: no mutex while the window
-    // has room. The lock-free true return is safe because every later
+    // Off the published release point, spinning and parking alike: no
+    // mutex. The lock-free true return is safe because every later
     // dispatcher action on this slot (complete()) re-synchronizes on mu_,
     // and base_ only grows — a stale read errs toward waiting.
+    auto fits = [&] {
+      return seq < base_pub_.load(std::memory_order_acquire) + window_;
+    };
     IdleStrategy idle(idle_);
     while (!closed_pub_.load(std::memory_order_acquire)) {
-      if (seq < base_pub_.load(std::memory_order_acquire) + window_) {
-        return true;
-      }
+      if (fits()) return true;
       if (idle.should_park()) break;
     }
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock, [&] {
-      return seq < base_ + window_ || closed_;
-    });
-    return !closed_;
+    slot_freed_.await(
+        [&] { return fits() || closed_pub_.load(std::memory_order_acquire); });
+    return !closed_pub_.load(std::memory_order_acquire);
   }
 
   /// Deposits the result for an acquired sequence. Dropped if closed.
@@ -462,7 +441,7 @@ class ReorderMerge {
     ++base_;
     base_pub_.store(base_, std::memory_order_release);
     lock.unlock();
-    not_full_.notify_all();
+    slot_freed_.notify_all();
     return out;
   }
 
@@ -480,7 +459,7 @@ class ReorderMerge {
       closed_ = true;
       closed_pub_.store(true, std::memory_order_release);
     }
-    not_full_.notify_all();
+    slot_freed_.notify_all();
   }
 
   /// Returns to the initial state (sequence restarts at 0). Only call when
@@ -514,15 +493,16 @@ class ReorderMerge {
   const std::size_t window_;
   IdleConfig idle_;
   mutable std::mutex mu_;
-  std::condition_variable not_full_;
   std::vector<Slot> slots_;
   std::uint64_t base_ = 0;
   bool closed_ = false;
   bool releasing_ = false;
   // Dispatcher-polled mirrors of base_/closed_, on their own line so the
-  // acquire() spin doesn't contend with the mutex-guarded release state.
+  // acquire() spin doesn't contend with the mutex-guarded release state;
+  // acquire() parks on slot_freed_ when the window is full.
   alignas(detail::kCacheLine) std::atomic<std::uint64_t> base_pub_{0};
   std::atomic<bool> closed_pub_{false};
+  EventCount slot_freed_;
 };
 
 static_assert(alignof(ReorderMerge<int>) == detail::kCacheLine,

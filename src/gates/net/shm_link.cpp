@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
-
-#include "gates/common/clock.hpp"
 
 namespace gates::net {
 
@@ -214,21 +211,10 @@ StatusOr<RecvEvent> ShmRemoteLink::decode_record(
 
 StatusOr<RecvEvent> ShmRemoteLink::recv(double timeout_seconds) {
   ShmRing& ring = server_ ? *data_ring_ : *ack_ring_;
-  WallClock clock;
-  const TimePoint deadline = clock.now() + timeout_seconds;
-  IdleStrategy idler(idle_);
-  for (;;) {
-    auto got = ring.try_read(&record_);
-    if (!got.ok()) return got.status();
-    if (got.value()) return decode_record(record_);
-    if (timeout_seconds <= 0.0 || clock.now() >= deadline) {
-      return RecvEvent{};  // Kind::kNone
-    }
-    if (idler.should_park()) {
-      std::this_thread::sleep_for(ShmRing::kParkSleep);
-      idler.reset();
-    }
-  }
+  auto got = ring.read(&record_, deadline_after(timeout_seconds), idle_);
+  if (!got.ok()) return got.status();
+  if (!got.value()) return RecvEvent{};  // Kind::kNone
+  return decode_record(record_);
 }
 
 }  // namespace gates::net

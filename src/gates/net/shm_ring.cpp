@@ -166,9 +166,14 @@ Status ShmRing::write_gather(const iovec* iovs, int iov_count,
     std::size_t wrap_waste = 0;
     if (capacity_ - offset < need) wrap_waste = capacity_ - offset;
     if (used + wrap_waste + need > capacity_) {
-      // Full: sleep where an in-process wait would park.
+      // Full: park until the reader frees enough or the ring closes.
       if (idler.should_park()) {
-        std::this_thread::sleep_for(kParkSleep);
+        hdr_->writable.await([&] {
+          return tail - hdr_->head.load(std::memory_order_acquire) +
+                         wrap_waste + need <=
+                     capacity_ ||
+                 closed();
+        });
         idler.reset();
       }
       continue;
@@ -187,6 +192,7 @@ Status ShmRing::write_gather(const iovec* iovs, int iov_count,
       at += iovs[i].iov_len;
     }
     hdr_->tail.store(tail + need, std::memory_order_release);
+    hdr_->readable.notify_all();
     return Status::ok();
   }
 }
@@ -223,12 +229,36 @@ StatusOr<bool> ShmRing::try_read(std::vector<std::uint8_t>* out) {
     out->resize(len);
     std::memcpy(out->data(), data_ + offset + 4, len);
     hdr_->head.store(head + align8(4 + len), std::memory_order_release);
+    hdr_->writable.notify_all();
     return true;
   }
 }
 
+StatusOr<bool> ShmRing::read(std::vector<std::uint8_t>* out,
+                             Deadline deadline, const IdleConfig& idle) {
+  IdleStrategy idler(idle);
+  for (;;) {
+    auto got = try_read(out);
+    if (!got.ok() || got.value()) return got;
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    if (idler.should_park()) {
+      hdr_->readable.await(
+          [&] {
+            return hdr_->tail.load(std::memory_order_acquire) !=
+                       hdr_->head.load(std::memory_order_relaxed) ||
+                   closed();
+          },
+          deadline);
+      idler.reset();
+    }
+  }
+}
+
 void ShmRing::close_ring() {
-  if (hdr_ != nullptr) hdr_->closed.store(1, std::memory_order_release);
+  if (hdr_ == nullptr) return;
+  hdr_->closed.store(1, std::memory_order_release);
+  hdr_->readable.notify_all();
+  hdr_->writable.notify_all();
 }
 
 bool ShmRing::closed() const {

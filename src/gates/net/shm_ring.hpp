@@ -6,6 +6,9 @@
 // power-of-two data region. Records are 8-aligned [u32 len][bytes]; a len
 // of kWrapMarker means "skip to the start of the ring". Exactly one writer
 // and one reader; release/acquire on tail/head is the only synchronization.
+// A side that must wait parks on a process-shared EventCount in the header:
+// the reader on `readable` (notified after each tail publish), the writer on
+// `writable` (notified after each head advance); close_ring() notifies both.
 //
 // Creation handshake: the creator shm_open(O_CREAT|O_EXCL)s, sizes and maps
 // the segment, then publishes `magic` with release semantics as the very
@@ -15,7 +18,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -23,6 +25,7 @@
 
 #include <sys/uio.h>
 
+#include "gates/common/event_count.hpp"
 #include "gates/common/idle_strategy.hpp"
 #include "gates/common/status.hpp"
 
@@ -32,19 +35,19 @@ class ShmRing {
  public:
   static constexpr std::uint64_t kShmMagic = 0x5347544153454752ull;
   static constexpr std::uint32_t kWrapMarker = 0xFFFFFFFFu;
-  /// No condvar crosses the process boundary, so where an in-process wait
-  /// would park, a shm wait sleeps this long and polls again.
-  static constexpr std::chrono::microseconds kParkSleep{50};
 
   /// Lives at offset 0 of the mapping; the data region starts at
   /// sizeof(Header) (a 64-byte multiple — tail's alignas pads the tail).
+  /// Each eventcount shares a line with the cursor its notifier writes.
   struct Header {
     std::atomic<std::uint64_t> magic;
     std::uint64_t capacity;  // data region bytes (power of two)
     std::atomic<std::uint32_t> closed;
     std::uint32_t reserved;
     alignas(64) std::atomic<std::uint64_t> head;  // reader cursor
+    SharedEventCount writable;  // the writer waits here for head to move
     alignas(64) std::atomic<std::uint64_t> tail;  // writer cursor
+    SharedEventCount readable;  // the reader waits here for tail to move
   };
 
   /// Creates a fresh segment `/name` of at least `capacity_bytes` data
@@ -62,9 +65,9 @@ class ShmRing {
   ShmRing& operator=(const ShmRing&) = delete;
 
   /// Copies one record into the ring, blocking while full (IdleStrategy
-  /// steps, with a kParkSleep sleep where it would park). Fails
-  /// invalid_argument if the record can never fit (n > max_record_bytes()),
-  /// unavailable if the peer closed the ring.
+  /// steps, then a park on `writable`). Fails invalid_argument if the
+  /// record can never fit (n > max_record_bytes()), unavailable if the
+  /// ring is closed — a writer parked on a full ring wakes to the close.
   Status write(const std::uint8_t* data, std::size_t n,
                const IdleConfig& idle);
   /// Gather variant: writes the iovec spans as one record, copying each
@@ -77,8 +80,13 @@ class ShmRing {
   /// Nonblocking: copies the next record into `out` (resized to fit).
   /// Returns true if one was read; false if the ring is currently empty.
   StatusOr<bool> try_read(std::vector<std::uint8_t>* out);
+  /// try_read() that waits for a record until `deadline` (IdleStrategy
+  /// steps, then a park on `readable`); false on timeout.
+  StatusOr<bool> read(std::vector<std::uint8_t>* out, Deadline deadline,
+                      const IdleConfig& idle);
 
-  /// Marks the ring closed; the peer's next write/read observes it.
+  /// Marks the ring closed and wakes both sides; the peer's next
+  /// write/read observes it.
   void close_ring();
   bool closed() const;
 

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -487,6 +488,66 @@ TEST(MigrationRt, RequestWithoutATargetPicksTheLeastLoadedNode) {
   auto& sink = dynamic_cast<DigestSink&>(engine.processor(1));
   EXPECT_EQ(sink.count_, 2000u);
   EXPECT_EQ(sink.digest_, baseline);
+}
+
+/// With a migration provider installed (Rt set_migration_provider), its
+/// decision is the landing node, whatever target the request named, and
+/// the migrated chain keeps the sink's digest. A provider that finds no
+/// placement refuses the migration.
+TEST(MigrationRt, ProviderDecisionIsTheTarget) {
+  std::uint64_t baseline = 0;
+  {
+    auto base = chain_pipeline(2000, 5000);
+    RtEngine engine(base.spec, base.placement, base.hosts, base.topology,
+                    rt_failover_config());
+    ASSERT_TRUE(engine.run().is_ok());
+    baseline = dynamic_cast<DigestSink&>(engine.processor(1)).digest_;
+  }
+  {
+    auto b = chain_pipeline(2000, 5000);
+    RtEngine engine(b.spec, b.placement, b.hosts, b.topology,
+                    rt_failover_config());
+    std::size_t asked_stage = 99;
+    NodeId asked_target = 99;
+    engine.set_migration_provider(
+        [&](std::size_t stage, NodeId target)
+            -> std::optional<ReplacementDecision> {
+          asked_stage = stage;
+          asked_target = target;
+          return ReplacementDecision{2, ProcessorFactory{}};
+        });
+    engine.schedule_migration(0, 0.15, 0);
+    ASSERT_TRUE(engine.run().is_ok());
+    EXPECT_TRUE(engine.report().completed);
+    EXPECT_EQ(asked_stage, 0u);
+    EXPECT_EQ(asked_target, 0u);
+    ASSERT_EQ(engine.report().migrations.size(), 1u);
+    const MigrationRecord& m = engine.report().migrations[0];
+    EXPECT_EQ(m.outcome, MigrationRecord::Outcome::kCompleted);
+    EXPECT_EQ(m.from, 1u);
+    EXPECT_EQ(m.to, 2u);
+    auto& sink = dynamic_cast<DigestSink&>(engine.processor(1));
+    EXPECT_EQ(sink.count_, 2000u);
+    EXPECT_EQ(sink.digest_, baseline);
+  }
+  {
+    auto b = chain_pipeline(2000, 5000);
+    RtEngine engine(b.spec, b.placement, b.hosts, b.topology,
+                    rt_failover_config());
+    engine.set_migration_provider(
+        [](std::size_t, NodeId) -> std::optional<ReplacementDecision> {
+          return std::nullopt;
+        });
+    engine.schedule_migration(0, 0.15, 2);
+    ASSERT_TRUE(engine.run().is_ok());
+    EXPECT_TRUE(engine.report().completed);
+    ASSERT_EQ(engine.report().migrations.size(), 1u);
+    const MigrationRecord& m = engine.report().migrations[0];
+    EXPECT_NE(m.outcome, MigrationRecord::Outcome::kCompleted);
+    EXPECT_EQ(m.failed_step, MigrationStep::kTransfer);
+    EXPECT_NE(m.detail.find("no candidate target"), std::string::npos)
+        << m.detail;
+  }
 }
 
 /// A stage parked between packets of a 1 packet/s stream quiesces at once:

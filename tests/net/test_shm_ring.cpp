@@ -1,12 +1,14 @@
 // ShmRing (SPSC byte ring in POSIX shared memory) and ShmRemoteLink: record
 // round trips including wraparound, cross-"process" attach semantics (two
 // mappings of the same segment in one test process), close propagation, and
-// the full RemoteLink frame path over shared memory.
+// the full RemoteLink frame path over shared memory, and the parks: a blocked
+// reader wakes through the process-shared futex and an idle one sleeps.
 #include "gates/net/shm_link.hpp"
 #include "gates/net/shm_ring.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <ctime>
@@ -14,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 namespace gates::net {
@@ -284,6 +287,78 @@ TEST(ShmRemoteLink, IdleRecvSleepsInsteadOfSpinning) {
   EXPECT_EQ(ev->kind, RecvEvent::Kind::kNone);
   EXPECT_GE(wall, 0.2);
   EXPECT_LT(cpu, 0.5 * wall) << "cpu " << cpu << " s over " << wall << " s";
+}
+
+/// The reader parks on the `serve` mapping and the writer notifies through
+/// the `dial` mapping of the same segments: one process, two virtual
+/// addresses, as a co-located peer would be. A process-private futex is
+/// keyed by address and would sleep through the notify to the 5 s timeout.
+TEST(ShmRemoteLink, BlockedRecvWakesThroughTheOtherMapping) {
+  const std::string base = ring_name("xmap");
+  auto server = ShmRemoteLink::serve(base, 0, "srv", 1u << 14,
+                                     IdleConfig::park());
+  ASSERT_TRUE(server.ok());
+  auto client = ShmRemoteLink::dial(base, 0, "cli", 2.0, IdleConfig::park());
+  ASSERT_TRUE(client.ok());
+  std::atomic<bool> receiving{false};
+  std::chrono::steady_clock::time_point sent_at;
+  std::thread writer([&] {
+    while (!receiving.load()) std::this_thread::yield();
+    // Let the reader reach its park.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    sent_at = std::chrono::steady_clock::now();
+    ASSERT_TRUE((*client)->send_eos(42).is_ok());
+  });
+  receiving.store(true);
+  auto ev = (*server)->recv(5.0);
+  const auto returned_at = std::chrono::steady_clock::now();
+  writer.join();
+  ASSERT_TRUE(ev.ok()) << ev.status().to_string();
+  EXPECT_EQ(ev->kind, RecvEvent::Kind::kEos);
+  EXPECT_EQ(ev->base_seq, 42u);
+  EXPECT_LT(returned_at - sent_at, std::chrono::milliseconds(50));
+}
+
+long voluntary_switches() {
+  rusage usage{};
+  ::getrusage(RUSAGE_THREAD, &usage);
+  return usage.ru_nvcsw;
+}
+
+/// An idle recv parks on the futex until its deadline instead of waking to
+/// poll: a 0.2 s wait makes a handful of context switches, not thousands.
+TEST(ShmRemoteLink, IdleRecvParksUntilAFrameArrives) {
+  const std::string base = ring_name("park");
+  auto server = ShmRemoteLink::serve(base, 0, "srv", 1u << 14);
+  ASSERT_TRUE(server.ok());
+  const long before = voluntary_switches();
+  auto ev = (*server)->recv(0.2);
+  const long switches = voluntary_switches() - before;
+  ASSERT_TRUE(ev.ok());
+  EXPECT_EQ(ev->kind, RecvEvent::Kind::kNone);
+  EXPECT_LE(switches, 10) << "voluntary context switches in one idle recv";
+}
+
+/// A checkpoint travels as a control frame: send_control(kCheckpoint)
+/// carries the transfer id and the state bytes through the ring.
+TEST(ShmRemoteLink, CheckpointControlFrameRoundTrips) {
+  const std::string base = ring_name("ckpt");
+  auto server = ShmRemoteLink::serve(base, 3, "srv", 1u << 14, test_idle());
+  ASSERT_TRUE(server.ok());
+  auto client = ShmRemoteLink::dial(base, 3, "cli", 2.0, test_idle());
+  ASSERT_TRUE(client.ok());
+  std::string state = "stage state";
+  state.push_back('\0');
+  state.push_back('\xff');
+  ASSERT_TRUE((*client)
+                  ->send_control(wire::FrameType::kCheckpoint, 77, {}, state)
+                  .is_ok());
+  auto ev = (*server)->recv(1.0);
+  ASSERT_TRUE(ev.ok()) << ev.status().to_string();
+  ASSERT_EQ(ev->kind, RecvEvent::Kind::kCheckpoint);
+  EXPECT_EQ(ev->base_seq, 77u);
+  ASSERT_EQ(ev->body.size(), state.size());
+  EXPECT_EQ(std::memcmp(ev->body.data(), state.data(), state.size()), 0);
 }
 
 TEST(ShmRemoteLink, ReconnectIsUnsupported) {

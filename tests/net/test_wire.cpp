@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 namespace gates::net::wire {
@@ -252,6 +253,46 @@ TEST(WireRpc, RoundTripsMethodAndBody) {
           .is_ok());
   EXPECT_EQ(method, "deploy");
   EXPECT_EQ(body, "<deploy a=\"1\"/>");
+}
+
+/// Golden layout of a CHECKPOINT frame: a plain header (type 8, base_seq =
+/// transfer id, body_bytes = state size, count 0) followed by the state
+/// bytes verbatim; decoding the header gives every field back.
+TEST(WireCheckpoint, GoldenLayoutAndRoundTrip) {
+  std::vector<std::uint8_t> bytes;
+  encode_checkpoint_frame(0x0A0B0C0D, 0x1112131415161718ull,
+                          std::string_view("\x01st\x00", 4), &bytes);
+  const std::uint8_t golden[kHeaderBytes + 4] = {
+      0x47, 0x54, 0x54, 0x53,              // magic "GTTS"
+      0x01,                                // version
+      0x08,                                // type = kCheckpoint
+      0x00, 0x00,                          // flags
+      0x0D, 0x0C, 0x0B, 0x0A,              // channel LE
+      0x00, 0x00, 0x00, 0x00,              // count
+      0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11,  // transfer id LE
+      0x04, 0x00, 0x00, 0x00,              // body_bytes LE
+      0x00, 0x00, 0x00, 0x00,              // reserved
+      0x01, 0x73, 0x74, 0x00,              // the state, verbatim
+  };
+  ASSERT_EQ(bytes.size(), sizeof(golden));
+  EXPECT_EQ(std::memcmp(bytes.data(), golden, sizeof(golden)), 0);
+
+  FrameHeader h;
+  ASSERT_TRUE(decode_header(bytes.data(), &h).is_ok());
+  EXPECT_EQ(h.type, FrameType::kCheckpoint);
+  EXPECT_EQ(h.channel, 0x0A0B0C0Du);
+  EXPECT_EQ(h.base_seq, 0x1112131415161718ull);
+  ASSERT_EQ(h.body_bytes, 4u);
+  EXPECT_EQ(std::string_view(
+                reinterpret_cast<const char*>(bytes.data() + kHeaderBytes),
+                h.body_bytes),
+            std::string_view("\x01st\x00", 4));
+
+  // An empty state is a valid (declined) checkpoint: header only.
+  encode_checkpoint_frame(1, 2, {}, &bytes);
+  ASSERT_EQ(bytes.size(), kHeaderBytes);
+  ASSERT_TRUE(decode_header(bytes.data(), &h).is_ok());
+  EXPECT_EQ(h.body_bytes, 0u);
 }
 
 TEST(WireRpc, RejectsShortAndLyingBodies) {
